@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ from urnlab import (
 )
 
 TWO = ([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5])
+# Non-dyadic four-colour spec: every cumulative sum rounds.
+FOUR = (
+    [
+        [0.4, 0.3, 0.2, 0.1],
+        [0.1, 0.5, 0.3, 0.1],
+        [0.2, 0.2, 0.35, 0.25],
+        [0.15, 0.15, 0.3, 0.4],
+    ],
+    [0.1, 0.2, 0.3, 0.4],
+)
 
 
 def test_new_spec_accepts_probability_rows():
@@ -124,11 +135,80 @@ def test_simulate_matches_simulate_many_bitwise():
     assert one.tracks[0].tolist() == many.tracks[i, :, 0].tolist()
 
 
-def test_simulate_many_batch_size_is_invisible():
-    spec = new_spec(*TWO)
+@pytest.mark.parametrize("model", [TWO, FOUR], ids=["K2", "K4"])
+def test_simulate_many_batch_size_is_invisible(model):
+    spec = new_spec(*model)
     a = simulate_many(spec, 500, 2, 4, batch_steps=7)
     b = simulate_many(spec, 500, 2, 4, batch_steps=2048)
     assert a.states.tolist() == b.states.tolist()
+
+
+# sha256 of simulate_many states and tracks on non-dyadic models, pinning the
+# draw rule and the order of every floating-point add in the kernel.  A change
+# to either moves these digests.
+GOLDEN = {
+    "two_color": (
+        ([[0.7, 0.3], [0.4, 0.6]], [0.5714285714285714, 0.4285714285714286]),
+        [[1.0, 1.0], [0.3, -0.7]],
+        20240901,
+        "6a85d30b08fb0173431b50449def67a2f8f4cdee7a040056f7ba209ee0c20f66",
+        "62a8f51418b038c51ea001bef4cd4062b630fb041618191db69387a61d9b8daf",
+    ),
+    # JORDAN_REFERENCE of the acceptance suite: one colour starts at zero.
+    "jordan_reference": (
+        ([[0.5, 0.45, 0.05], [0.0, 0.75, 0.25], [0.0, 0.25, 0.75]], [0.25, 0.75, 0.0]),
+        [[1.0, 0.0, 0.0], [0.1, 0.7, -0.3]],
+        7,
+        "afbe63a4df2f4597d0a65c765ce4e8337a3f1a67d07ce2fe91b0cf7e6d361d7c",
+        "ba002dda3314c13ba609dc7030343787180f9289393d48dd8c2e962d529ec5f2",
+    ),
+    "four_nondyadic": (
+        FOUR,
+        [[0.3, -0.1, 0.7, 0.2]],
+        11,
+        "e48ae1e82b1509997a824102267d8f5c3ab19300efec700964785f79f61606a0",
+        "287cf117dc4c86d5a4bee6ffd8b1e23aab430663c31855bccaca1aff008517fa",
+    ),
+}
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("batch_steps", [7, None], ids=["batch7", "default"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_many_golden_digests(name, batch_steps):
+    model, vectors, seed, states_digest, tracks_digest = GOLDEN[name]
+    kwargs = {} if batch_steps is None else {"batch_steps": batch_steps}
+    paths = simulate_many(
+        new_spec(*model), 1000, seed, 12, track_vectors=vectors, **kwargs
+    )
+    assert (_sha256(paths.states), _sha256(paths.tracks)) == (
+        states_digest,
+        tracks_digest,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    counts=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5).filter(
+        lambda c: sum(c) > 1e-3
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_first_kernel_draw_matches_color_from_uniform(counts, seed):
+    # Identity rows: the first draw adds one unit to the drawn colour only.
+    c0 = np.array(counts) / sum(counts)
+    spec = new_spec(np.eye(c0.size), c0)
+    streams = [0, 1, 5, 9]
+    paths = simulate_many(spec, 1, seed, streams)
+    drawn = np.argmax(paths.states[:, 1] - paths.states[:, 0], axis=1)
+    expected = [
+        color_from_uniform(spec.initial, trajectory_rng(seed, s).random())
+        for s in streams
+    ]
+    assert drawn.tolist() == expected
 
 
 def test_mass_law_exact_at_checkpoints():
