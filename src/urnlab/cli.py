@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -258,13 +259,16 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
+    """One CSV per prediction row: a line per (trajectory, checkpoint).
+
+    Floats are written as repr of the Python float; z and U_hat cells are
+    filled on the terminal checkpoint line only.  Arrays become Python lists
+    once per file, and each trajectory's lines go out in one write.
+    """
     written = []
     cps = report.checkpoints
+    cp_cells = [str(int(n)) for n in cps]
     label_to_col = {lab: i for i, lab in enumerate(report.track_labels)}
     for i, outcome in enumerate(report.outcomes):
         row = outcome.prediction
@@ -273,30 +277,30 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
         with np.errstate(invalid="ignore", divide="ignore"):
             norm = row.normalization.at(cps)
             normalized = raw / norm[None, :]
+        shown = np.isfinite(norm).tolist()
+        z_cells = [""] * report.ensemble
         z_at_terminal = _terminal_z(report, outcome)
-        u_hats = report.u_hats
-        mixture = row.limit_kind is LimitKind.NORMAL_MIXTURE
+        if z_at_terminal is not None:
+            z_cells = [
+                repr(z) if math.isfinite(z) else "" for z in z_at_terminal.tolist()
+            ]
+        u_cells = [""] * report.ensemble
+        if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
+            u_cells = [repr(u) for u in report.u_hats.tolist()]
         name = _csv_name(i, row.label)
         path = out / name
         with path.open("w") as fh:
             fh.write("trajectory_id,checkpoint_n,raw_value,normalized_value,z_value,U_hat\n")
-            last = cps.size - 1
-            for t in range(report.ensemble):
-                for c in range(cps.size):
-                    cells = [
-                        str(t),
-                        str(int(cps[c])),
-                        _float_cell(raw[t, c]),
-                        _float_cell(normalized[t, c]) if np.isfinite(norm[c]) else "",
-                        "",
-                        "",
-                    ]
-                    if c == last:
-                        if z_at_terminal is not None and np.isfinite(z_at_terminal[t]):
-                            cells[4] = _float_cell(z_at_terminal[t])
-                        if mixture and u_hats is not None:
-                            cells[5] = _float_cell(u_hats[t])
-                    fh.write(",".join(cells) + "\n")
+            inner = [",,"] * (len(cp_cells) - 1)
+            rows = zip(raw.tolist(), normalized.tolist())
+            for t, (raw_t, norm_t) in enumerate(rows):
+                ends = inner + [f",{z_cells[t]},{u_cells[t]}"]
+                fh.write(
+                    "".join(
+                        f"{t},{n},{x!r},{repr(y) if ok else ''}{end}\n"
+                        for n, x, y, ok, end in zip(cp_cells, raw_t, norm_t, shown, ends)
+                    )
+                )
         written.append(name)
     return written
 

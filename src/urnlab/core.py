@@ -9,6 +9,15 @@ added to the composition.  Counts are non-negative reals in double precision.
 Trajectories are deterministic functions of (seed, stream).  Each stream is
 an independent substream of a counter-based generator, so ensembles can be
 simulated in any batch arrangement and still reproduce bit-identical values.
+
+Draw rule: with u the trajectory's next uniform variate in [0, 1) and cum the
+running prefix sums of the counts in colour order, colour i is drawn iff
+cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
+counts colour-major, as a (K, M) array over M trajectories, and forms cum by
+K-1 vector adds in colour order, so every rounding step matches
+np.cumsum(counts) and color_from_uniform.  Uniform variates are generated per
+trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
+UNIFORM_BLOCK_BYTES bytes over the ensemble; neither bound changes a result.
 """
 from __future__ import annotations
 
@@ -41,6 +50,9 @@ ROW_AGREEMENT_TOL = 1e-9
 MASS_DRIFT_PER_TRIAL = 1e-9
 # Uniform variates pre-generated per trajectory chunk in the batched runner.
 DEFAULT_BATCH_STEPS = 2048
+# Upper bound on the bytes of one uniforms block (M trajectories x steps x 8 B);
+# large ensembles get shorter blocks, never fewer than one step.
+UNIFORM_BLOCK_BYTES = 16 * 10**6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -239,10 +251,21 @@ def simulate_many(
 
     streams may be a count M (streams 0..M-1) or an explicit sequence of
     stream indices.  The result is a pure function of (spec, horizon, seed,
-    streams, checkpoints, track_vectors); batch_steps only controls memory.
+    streams, checkpoints, track_vectors).
+
+    Every step draws one colour per trajectory by the module's draw rule,
+    colour i iff cum[i-1] <= u * cum[K-1] < cum[i], and adds that colour's
+    replacement row.  The counts are held colour-major as (K, M) and cum is
+    built by K-1 vector adds in colour order, the same adds as np.cumsum.
+    Uniforms come in blocks of min(batch_steps, UNIFORM_BLOCK_BYTES // (8 M))
+    steps (at least one); batch_steps and the byte bound only control
+    memory and never change a value.  states keeps the (M, C, K) layout and
+    tracks the (M, C, P) layout.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if batch_steps < 1:
+        raise ValueError("batch_steps must be >= 1")
     if isinstance(streams, (int, np.integer)):
         stream_ids = np.arange(int(streams), dtype=np.int64)
     else:
@@ -259,39 +282,55 @@ def simulate_many(
             raise ValueError(
                 f"track vectors have length {vt.shape[1]}, expected {spec.colors}"
             )
+    k = spec.colors
     n_cp = cps.size
-    counts = np.repeat(spec.initial[None, :], m, axis=0)
-    states = np.empty((m, n_cp, spec.colors))
+    states = np.empty((m, n_cp, k))
     tracks = np.empty((m, n_cp, vt.shape[0]))
     cp_index = {int(n): i for i, n in enumerate(cps)}
+    # Colour-major working state: counts[j] holds colour j for every trajectory.
+    counts = np.repeat(spec.initial[:, None], m, axis=1)
+    # Row-major (M, K) copy for checkpoints: the mass sum and the track
+    # product then round exactly as they do on per-trajectory rows.
+    snapshot = np.empty((m, k))
 
     def record(n: int) -> None:
         i = cp_index[n]
-        total = counts.sum(axis=1)
+        snapshot[...] = counts.T
+        total = snapshot.sum(axis=1)
         drift = np.abs(total - (n + 1.0)).max()
         if drift > MASS_DRIFT_PER_TRIAL * max(n, 1):
             raise RuntimeError(
                 f"mass law violated at n={n}: max drift {drift!r}"
             )
-        states[:, i, :] = counts
+        states[:, i, :] = snapshot
         if vt.shape[0]:
-            tracks[:, i, :] = counts @ vt.T
+            tracks[:, i, :] = snapshot @ vt.T
 
     gens = [trajectory_rng(seed, int(s)) for s in stream_ids]
     if 0 in cp_index:
         record(0)
-    rows = spec.matrix
+    rows_t = np.ascontiguousarray(spec.matrix.T)
+    cap = max(1, UNIFORM_BLOCK_BYTES // (8 * m))
+    u = np.empty((m, min(batch_steps, horizon, cap)))
+    cum = np.empty((k, m))
+    scaled = np.empty(m)
+    below = np.empty((k - 1, m), dtype=bool)
+    colors = np.empty(m, dtype=np.intp)
+    add = np.empty((k, m))
     n = 0
     while n < horizon:
-        block = min(batch_steps, horizon - n)
-        u = np.empty((m, block))
+        block = min(u.shape[1], horizon - n)
         for i, g in enumerate(gens):
-            u[i] = g.random(block)
+            g.random(out=u[i, :block])
         for t in range(block):
-            cum = np.cumsum(counts, axis=1)
-            scaled = u[:, t] * cum[:, -1]
-            colors = np.count_nonzero(cum[:, :-1] <= scaled[:, None], axis=1)
-            counts += rows[colors]
+            cum[0] = counts[0]
+            for j in range(1, k):
+                np.add(cum[j - 1], counts[j], out=cum[j])
+            np.multiply(u[:, t], cum[k - 1], out=scaled)
+            np.less_equal(cum[: k - 1], scaled, out=below)
+            np.add.reduce(below, axis=0, dtype=np.intp, out=colors)
+            np.take(rows_t, colors, axis=1, out=add)
+            counts += add
             n += 1
             if n in cp_index:
                 record(n)

@@ -10,9 +10,12 @@ deterministic because all seeds are frozen.
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import urnlab as ul
 from urnlab import ks_standard_normal
+
+pytestmark = pytest.mark.slow
 
 # One dyadic spec per supported family, shared by the exact-identity and
 # simulator-agreement checks.  Dyadic entries keep the enumeration exact.

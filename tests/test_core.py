@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnlab import core
 from urnlab import (
     color_from_uniform,
     default_checkpoints,
@@ -135,17 +136,33 @@ def test_simulate_matches_simulate_many_bitwise():
     assert one.tracks[0].tolist() == many.tracks[i, :, 0].tolist()
 
 
-@pytest.mark.parametrize("model", [TWO, FOUR], ids=["K2", "K4"])
-def test_simulate_many_batch_size_is_invisible(model):
-    spec = new_spec(*model)
-    a = simulate_many(spec, 500, 2, 4, batch_steps=7)
-    b = simulate_many(spec, 500, 2, 4, batch_steps=2048)
+def test_simulate_many_batch_size_is_invisible():
+    for model in (TWO, FOUR):
+        spec = new_spec(*model)
+        a = simulate_many(spec, 500, 2, 4, batch_steps=7)
+        b = simulate_many(spec, 500, 2, 4, batch_steps=2048)
+        assert a.states.tolist() == b.states.tolist()
+    with pytest.raises(ValueError, match="batch_steps"):
+        simulate_many(spec, 500, 2, 4, batch_steps=0)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 4])
+def test_uniform_block_byte_bound_is_invisible(monkeypatch, block_bytes):
+    # 1 byte still leaves one step per block; 96 bytes give 3 steps at M=4.
+    spec = new_spec(*FOUR)
+    vectors = [[0.3, -0.1, 0.7, 0.2]]
+    a = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
+    monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", block_bytes)
+    b = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
     assert a.states.tolist() == b.states.tolist()
+    assert a.tracks.tolist() == b.tracks.tolist()
 
 
-# sha256 of simulate_many states and tracks on non-dyadic models, pinning the
-# draw rule and the order of every floating-point add in the kernel.  A change
-# to either moves these digests.
+# sha256 of simulate_many states and tracks on non-dyadic models.  They pin
+# which uniform each step consumes, the colour it selects and the row added.
+# A change that only re-rounds the prefix sums (say, scaling by n + 1 instead
+# of the float total) flips a draw with probability near 1e-13 per draw, so
+# these digests cannot see it; the kernel keeps np.cumsum's adds instead.
 GOLDEN = {
     "two_color": (
         ([[0.7, 0.3], [0.4, 0.6]], [0.5714285714285714, 0.4285714285714286]),
