@@ -16,6 +16,28 @@ from urnlab import (
 )
 
 TRI = new_spec([[0.5, 0.5], [0.0, 1.0]], [0.5, 0.5])
+J3 = new_spec([[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]],
+              [0.5, 0.25, 0.25])
+# The shipped four-colour Jordan config: beta = 0, so sub_fluct is 0.
+J4_BETA0 = new_spec(
+    [
+        [0.25, 0.25, 0.375, 0.125],
+        [0.25, 0.25, 0.125, 0.375],
+        [0, 0, 0.5, 0.5],
+        [0, 0, 0.5, 0.5],
+    ],
+    [0.25] * 4,
+)
+# Non-degenerate four-colour Jordan example: s = lambda = beta = 1/2.
+J4_BETA_HALF = new_spec(
+    [
+        [0.375, 0.125, 0.4, 0.1],
+        [0.125, 0.375, 0.3, 0.2],
+        [0, 0, 0.75, 0.25],
+        [0, 0, 0.25, 0.75],
+    ],
+    [0.25] * 4,
+)
 
 
 def test_exact_distribution_one_step_atoms():
@@ -143,3 +165,51 @@ def test_enumeration_step_guards():
                   [0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="capped"):
         compensated_martingale_check(j3, classify(j3), 11)
+
+
+def _scaled_generalized_basis(klass, factor):
+    """Jordan basis with the generalized-eigenvector column scaled."""
+    j = klass.jordan_form
+    (top,) = [i for i in range(j.shape[0] - 1) if j[i, i + 1] == 1.0]
+    basis = klass.jordan_basis_matrix.copy()
+    basis[:, top + 1] *= factor
+    return basis
+
+
+def _tree_walk_residual(spec, klass, n, basis):
+    """Reference: max |E[X_{m+1} | path] - X_m| over every draw sequence."""
+    j = klass.jordan_form
+    (top,) = [i for i in range(spec.colors - 1) if j[i, i + 1] == 1.0]
+    t_gen, t_top, a = basis[:, top + 1], basis[:, top], j[top + 1, top + 1]
+    pis = [pi_n(a, k) for k in range(n + 1)]
+    worst = 0.0
+    stack = [(spec.initial.copy(), 0, 0.0)]
+    while stack:
+        counts, m, comp = stack.pop()
+        if m == n:
+            continue
+        total = counts.sum()
+        x_now = counts @ t_gen / pis[m] - comp
+        comp_child = comp + (counts @ t_top) / ((m + 1.0) * pis[m + 1])
+        expect = 0.0
+        for color in range(spec.colors):
+            if counts[color] <= 0.0:
+                continue
+            child = counts + spec.matrix[color]
+            expect += counts[color] / total * (child @ t_gen / pis[m + 1] - comp_child)
+            stack.append((child, m + 1, comp_child))
+        worst = max(worst, abs(expect - x_now))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "spec", [J3, J4_BETA0, J4_BETA_HALF], ids=["j3", "j4_beta0", "j4_beta_half"]
+)
+@pytest.mark.parametrize("factor", [1.0, 1.01])
+def test_compensated_check_matches_tree_walk(spec, factor):
+    klass = classify(spec)
+    basis = _scaled_generalized_basis(klass, factor)
+    for n in range(1, 8):
+        pooled = compensated_martingale_check(spec, klass, n, basis_matrix=basis)
+        tree = _tree_walk_residual(spec, klass, n, basis)
+        assert pooled == pytest.approx(tree, rel=1e-12, abs=1e-13)
