@@ -44,7 +44,6 @@ from .core import ReplacementSpec, new_spec
 from .laws import LawPrediction, LimitKind, pi_n, predict
 from .oracle import (
     MAX_ENUM_STEPS,
-    MAX_TREE_STEPS,
     compensated_martingale_check,
     exact_conditional_variance_check,
     exact_mean_linear,
@@ -76,7 +75,6 @@ _CONFIG_DEFAULTS = {
 _ORACLE_TOL = 1e-9
 _ORACLE_MEAN_STEPS = 8
 _ORACLE_VARIANCE_STEPS = 6
-_ORACLE_TREE_STEPS = 6
 
 
 class ConfigError(Exception):
@@ -243,13 +241,12 @@ def _run_oracle_checks(spec: ReplacementSpec, klass: StructureClass) -> tuple[li
     except ValueError as exc:
         lines.append(f"SKIP conditional-variance: {exc}")
     if klass.family in (Family.THREE_TWO_DOMINANT_JORDAN, Family.FOUR_BLOCK_JORDAN):
-        n_tree = min(_ORACLE_TREE_STEPS, MAX_TREE_STEPS)
-        gap = compensated_martingale_check(spec, klass, n_tree)
+        gap = compensated_martingale_check(spec, klass, n_var)
         passed = gap <= _ORACLE_TOL
         ok &= passed
         lines.append(
             f"{'PASS' if passed else 'FAIL'} compensated-martingale: "
-            f"max residual {gap:.3g} over levels 0..{n_tree - 1}"
+            f"max residual {gap:.3g} over levels 0..{n_var - 1}"
         )
     return lines, ok
 

@@ -17,12 +17,15 @@ R t_gen = t_top + a t_gen, the compensated track
     X_m = (C_m . t_gen)/pi_m(a)
           - sum_{j<m} (C_j . t_top) / ((j+1) pi_{j+1}(a))
 
-is a martingale; the compensation sum is path-dependent, so that check
-walks every distinct draw sequence rather than merged compositions.
+is a martingale.  Its compensation sum depends on the whole path, but it
+cancels in X_{m+1} - X_m, and the new term (C_m . t_top)/((m+1) pi_{m+1}(a))
+depends on C_m alone.  So the one-step residual is a function of the current
+composition, and that check runs on merged compositions too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -33,7 +36,6 @@ from .spectral import EIG_TOL, Family, StructureClass
 
 __all__ = [
     "MAX_ENUM_STEPS",
-    "MAX_TREE_STEPS",
     "OutcomeAtom",
     "exact_distribution",
     "exact_mean_vector",
@@ -45,8 +47,6 @@ __all__ = [
 # Merged-composition enumeration cap; levels stay small because outcomes
 # that reach the same composition are pooled.
 MAX_ENUM_STEPS = 12
-# Full path-tree cap for the compensated check (K^n nodes, no pooling).
-MAX_TREE_STEPS = 10
 
 _MERGE_DECIMALS = 12
 
@@ -84,16 +84,17 @@ def _levels(spec: ReplacementSpec, n: int) -> Iterator[list[tuple[np.ndarray, fl
         nxt: dict[tuple, tuple[np.ndarray, float]] = {}
         for counts, prob in level.values():
             total = counts.sum()
+            children = counts + rows
+            keys = np.round(children, _MERGE_DECIMALS).tolist()
             for color in range(spec.colors):
                 if counts[color] <= 0.0:
                     continue
-                child = counts + rows[color]
-                key = tuple(np.round(child, _MERGE_DECIMALS))
+                key = tuple(keys[color])
                 p = prob * counts[color] / total
                 if key in nxt:
                     nxt[key] = (nxt[key][0], nxt[key][1] + p)
                 else:
-                    nxt[key] = (child, p)
+                    nxt[key] = (children[color], p)
         level = nxt
         yield list(level.values())
 
@@ -171,9 +172,7 @@ def exact_conditional_variance_check(
     pis = {(a, k): pi_n(a, k) for _, a in tracks for k in range(n + 1)}
     rows = spec.matrix
     worst = 0.0
-    for k, level in enumerate(_levels(spec, n)):
-        if k == n:
-            break
+    for k, level in enumerate(islice(_levels(spec, n), n)):
         for counts, _ in level:
             total = counts.sum()
             for v, a in tracks:
@@ -205,11 +204,14 @@ def compensated_martingale_check(
 ) -> float:
     """Max one-step martingale deviation of the compensated Jordan track.
 
-    Walks the full K^n draw tree (the compensation sum depends on the whole
-    path, so compositions cannot be pooled) and returns the largest
-    |E[X_{m+1} | path] - X_m|.  basis_matrix overrides the classifier's
-    Jordan basis, which lets callers confirm the check fails for a wrong
-    basis.  Only Jordan families have such a track.
+    Returns the largest |E[X_{m+1} | F_m] - X_m| over the compositions
+    reachable at levels 0..n-1: the compensation sum cancels in the
+    increment and its new term depends on C_m alone, so merged compositions
+    give the maximum over all paths.  basis_matrix overrides the
+    classifier's Jordan basis with a finite (K, K) matrix, which lets callers
+    confirm the check fails for a wrong basis.  Only Jordan families have
+    such a track.  On the shipped beta = 0 four-colour example sub_fluct is
+    identically 0, so there the check has no teeth.
     """
     if klass.family not in (
         Family.THREE_TWO_DOMINANT_JORDAN,
@@ -219,10 +221,15 @@ def compensated_martingale_check(
             f"{klass.family.value} has no generalized-eigenvector track; "
             "eigen tracks are covered by exact_conditional_variance_check"
         )
-    n = _guard(spec, n, MAX_TREE_STEPS)
+    n = _guard(spec, n, MAX_ENUM_STEPS)
     t = klass.jordan_basis_matrix if basis_matrix is None else np.asarray(
         basis_matrix, dtype=float
     )
+    if t.shape != (spec.colors, spec.colors) or not np.isfinite(t).all():
+        raise ValueError(
+            f"basis_matrix must be a finite ({spec.colors}, {spec.colors}) "
+            f"matrix, got shape {t.shape}"
+        )
     j = klass.jordan_form
     off = [i for i in range(spec.colors - 1) if j[i, i + 1] == 1.0]
     if len(off) != 1:
@@ -233,25 +240,17 @@ def compensated_martingale_check(
     a = float(j[gen_col, gen_col])
     pis = [pi_n(a, k) for k in range(n + 1)]
     rows = spec.matrix
-    k_colors = spec.colors
     worst = 0.0
-
-    # Depth-first over draw sequences; comp is the accumulated compensation.
-    stack = [(spec.initial.copy(), 0, 0.0)]
-    while stack:
-        counts, m, comp = stack.pop()
-        if m == n:
-            continue
-        total = counts.sum()
-        x_now = counts @ t_gen / pis[m] - comp
-        comp_child = comp + (counts @ t_top) / ((m + 1.0) * pis[m + 1])
-        expect = 0.0
-        for color in range(k_colors):
-            if counts[color] <= 0.0:
-                continue
-            child = counts + rows[color]
-            x_child = child @ t_gen / pis[m + 1] - comp_child
-            expect += counts[color] / total * x_child
-            stack.append((child, m + 1, comp_child))
-        worst = max(worst, abs(expect - x_now))
+    for m, level in enumerate(islice(_levels(spec, n), n)):
+        for counts, _ in level:
+            total = counts.sum()
+            x_now = counts @ t_gen / pis[m]
+            inc = (counts @ t_top) / ((m + 1.0) * pis[m + 1])
+            expect = 0.0
+            for color in range(spec.colors):
+                if counts[color] <= 0.0:
+                    continue
+                child = counts + rows[color]
+                expect += counts[color] / total * (child @ t_gen / pis[m + 1] - inc)
+            worst = max(worst, abs(expect - x_now))
     return worst

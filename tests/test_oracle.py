@@ -164,7 +164,7 @@ def test_enumeration_step_guards():
     j3 = new_spec([[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]],
                   [0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="capped"):
-        compensated_martingale_check(j3, classify(j3), 11)
+        compensated_martingale_check(j3, classify(j3), 13)
 
 
 def _scaled_generalized_basis(klass, factor):
@@ -213,3 +213,20 @@ def test_compensated_check_matches_tree_walk(spec, factor):
         pooled = compensated_martingale_check(spec, klass, n, basis_matrix=basis)
         tree = _tree_walk_residual(spec, klass, n, basis)
         assert pooled == pytest.approx(tree, rel=1e-12, abs=1e-13)
+
+
+def test_compensated_check_has_teeth_on_non_degenerate_jordan_at_cap():
+    klass = classify(J4_BETA_HALF)
+    assert compensated_martingale_check(J4_BETA_HALF, klass, 12) < 1e-12
+    wrong = _scaled_generalized_basis(klass, 1.01)
+    gap = compensated_martingale_check(J4_BETA_HALF, klass, 12, basis_matrix=wrong)
+    assert gap > 1e-4
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [np.eye(3), np.eye(4)[:, :3], np.full((4, 4), np.nan), np.diag([1.0, 1.0, 1.0, np.inf])],
+)
+def test_compensated_check_rejects_bad_basis_matrix(basis):
+    with pytest.raises(ValueError, match=r"basis_matrix must be a finite \(4, 4\)"):
+        compensated_martingale_check(J4_BETA0, classify(J4_BETA0), 3, basis_matrix=basis)
