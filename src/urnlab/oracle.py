@@ -1,8 +1,8 @@
 """Exact finite-horizon checks by direct enumeration.
 
 Everything here is computed without simulation: the outcome tree of the
-first n draws is walked exhaustively, so expectations are exact up to float
-rounding.  This is the independent reference the statistical layer and the
+first n draws is enumerated level by level, pooling paths that reach the
+same composition, so expectations are exact up to float rounding.  This is the independent reference the statistical layer and the
 test suite compare against.
 
 Two martingale identities are checked.  For an eigen-combination v with
