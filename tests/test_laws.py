@@ -265,3 +265,302 @@ def test_jordan_variance_continuous_in_regime_interior(lam):
     else:
         assert dom.limit_kind is LimitKind.AS_RANDOM_VARIABLE
         assert dom.co_limit_label == "minor"
+
+
+# One spec per branch of predict(): each family, and each eigenvalue regime
+# (zero, negative, below, at and above 1/2, periodic) that family can reach.
+# Every row pins label, limit kind, normalization, notes and the variance,
+# mixture coefficient or limit variance, whichever the row carries.
+K = LimitKind
+MASS_ROW = (
+    "mass", K.DETERMINISTIC_CONSTANT, "n+1",
+    "total mass equals n+1 exactly on every path", None,
+)
+FROZEN = (
+    "every replacement row is orthogonal to this combination; "
+    "the track never moves"
+)
+SIGN_FREE = (
+    "power-normalized martingale track; the limit is non-degenerate "
+    "but its sign is not pinned"
+)
+MIXED = "normal with variance proportional to the sub-block mass limit"
+GENERALIZED = (
+    "generalized-eigenvector track at the repeated eigenvalue, "
+    "still normal below the 1/2 threshold"
+)
+PERIODIC = "dominant block is periodic; this normal claim is unverified"
+MINOR = (
+    "the minor color's count divided by n^{} settles to a strictly "
+    "positive random level"
+)
+SUB_MASS = (
+    "the non-dominant block's mass divided by n^{} settles to a strictly "
+    "positive random level"
+)
+U4 = [0.25] * 4
+BRANCHES = {
+    "identity": (
+        np.eye(3), [0.25, 0.0, 0.75], Family.IDENTITY, [
+            MASS_ROW,
+            ("share_0", K.AS_RANDOM_VARIABLE, "n+1",
+             "share settles to a random level whose mean is the starting share",
+             0.09375),
+            ("share_1", K.EXACTLY_CONSTANT_TRACK, "n+1",
+             "no starting mass and no inflow from other colors; the count stays "
+             "at zero", None),
+        ],
+    ),
+    "two_zero": (
+        [[0.5, 0.5], [0.5, 0.5]], [0.25, 0.75], Family.TWO_IRREDUCIBLE, [
+            MASS_ROW,
+            ("fluct", K.EXACTLY_CONSTANT_TRACK, "Pi_n(0)", FROZEN, None),
+        ],
+    ),
+    "two_below": (
+        TWO, [4 / 7, 3 / 7], Family.TWO_IRREDUCIBLE, [
+            MASS_ROW,
+            ("fluct", K.NORMAL, "n^0.5", "", 0.16874999999999968),
+        ],
+    ),
+    "two_negative": (
+        [[0.2, 0.8], [0.6, 0.4]], [0.5, 0.5], Family.TWO_IRREDUCIBLE, [
+            MASS_ROW,
+            ("fluct", K.NORMAL, "n^0.5", "", 0.06666666666666664),
+        ],
+    ),
+    "two_half": (
+        [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5], Family.TWO_IRREDUCIBLE, [
+            MASS_ROW,
+            ("fluct", K.NORMAL, "sqrt(n log n)", "", 0.25),
+        ],
+    ),
+    "two_above": (
+        [[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], Family.TWO_IRREDUCIBLE, [
+            MASS_ROW,
+            ("fluct", K.AS_RANDOM_VARIABLE, "n^0.8", SIGN_FREE, None),
+        ],
+    ),
+    "two_triangular": (
+        [[0.5, 0.5], [0, 1]], [0.5, 0.5], Family.TWO_TRIANGULAR, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+        ],
+    ),
+    "one_dom_zero": (
+        [[0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [0, 0, 1]], [0.25, 0.25, 0.5],
+        Family.THREE_ONE_DOMINANT, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.EXACTLY_CONSTANT_TRACK, "Pi_n(0)", FROZEN, None),
+        ],
+    ),
+    "one_dom_below": (
+        [[0.3125, 0.1875, 0.5], [0.1875, 0.3125, 0.5], [0, 0, 1]], [0.25, 0.25, 0.5],
+        Family.THREE_ONE_DOMINANT, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "n^0.25", MIXED, 0.0625),
+        ],
+    ),
+    "one_dom_half": (
+        [[0.375, 0.125, 0.5], [0.125, 0.375, 0.5], [0, 0, 1]], [0.25, 0.25, 0.5],
+        Family.THREE_ONE_DOMINANT, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.5 log n)", MIXED, 0.0625),
+        ],
+    ),
+    "one_dom_above": (
+        [[0.45, 0.05, 0.5], [0.05, 0.45, 0.5], [0, 0, 1]], [0.25, 0.25, 0.5],
+        Family.THREE_ONE_DOMINANT, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.AS_RANDOM_VARIABLE, "n^0.4", SIGN_FREE, None),
+        ],
+    ),
+    "two_dom_zero": (
+        [[0.5, 0.25, 0.25], [0, 0.5, 0.5], [0, 0.5, 0.5]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.EXACTLY_CONSTANT_TRACK, "Pi_n(0)", FROZEN, None),
+        ],
+    ),
+    "two_dom_below": (
+        [[0.5, 0.25, 0.25], [0, 0.625, 0.375], [0, 0.375, 0.625]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.NORMAL, "n^0.5", "", 0.125),
+        ],
+    ),
+    "two_dom_negative": (
+        [[0.5, 0.25, 0.25], [0, 0.25, 0.75], [0, 0.75, 0.25]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.NORMAL, "n^0.5", "", 0.125),
+        ],
+    ),
+    "two_dom_half": (
+        [[0.5, 0.25, 0.25], [0, 0.75, 0.25], [0, 0.25, 0.75]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.NORMAL, "sqrt(n log n)", "", 0.25),
+        ],
+    ),
+    "two_dom_above": (
+        [[0.5, 0.25, 0.25], [0, 0.875, 0.125], [0, 0.125, 0.875]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.AS_RANDOM_VARIABLE, "n^0.75", SIGN_FREE, None),
+        ],
+    ),
+    "two_dom_periodic": (
+        [[0.5, 0.25, 0.25], [0, 0, 1], [0, 1, 0]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_DIAG, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.NORMAL, "n^0.5", PERIODIC, 0.3333333333333333),
+        ],
+    ),
+    "three_jordan_below": (
+        [[0.4, 0.54, 0.06], [0, 0.7, 0.3], [0, 0.3, 0.7]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_JORDAN, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.4", MINOR.format("0.4"), None),
+            ("dom_fluct", K.NORMAL, "n^0.5", GENERALIZED, 3.472222222222223),
+        ],
+    ),
+    "three_jordan_above": (
+        [[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]], [0.5, 0.25, 0.25],
+        Family.THREE_TWO_DOMINANT_JORDAN, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.5", MINOR.format("0.5"), None),
+            ("dom_fluct", K.AS_RANDOM_VARIABLE, "n^0.5 log n",
+             "log-slowed track sharing the minor track's limit; the gap between "
+             "the two closes like 1/log n", None),
+        ],
+    ),
+    "four_diag_zero": (
+        [[0.375, 0.125, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25],
+         [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+        [0.25, 0.25, 0.375, 0.125], Family.FOUR_BLOCK_DIAG, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.5 log n)", MIXED, 0.0625),
+            ("dom_fluct", K.EXACTLY_CONSTANT_TRACK, "Pi_n(0)", FROZEN, None),
+        ],
+    ),
+    "four_diag_below": (
+        [[0.3125, 0.1875, 0.25, 0.25], [0.1875, 0.3125, 0.25, 0.25],
+         [0, 0, 0.625, 0.375], [0, 0, 0.375, 0.625]],
+        U4, Family.FOUR_BLOCK_DIAG, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "n^0.25", MIXED, 0.0625),
+            ("dom_fluct", K.NORMAL, "n^0.5", "", 0.125),
+        ],
+    ),
+    "four_diag_half": (
+        [[0.3, 0.1, 0.3, 0.3], [0.1, 0.3, 0.3, 0.3],
+         [0, 0, 0.75, 0.25], [0, 0, 0.25, 0.75]],
+        U4, Family.FOUR_BLOCK_DIAG, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.4", SUB_MASS.format("0.4"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.4 log n)", MIXED,
+             0.039999999999999966),
+            ("dom_fluct", K.NORMAL, "sqrt(n log n)", "", 0.25),
+        ],
+    ),
+    "four_diag_above": (
+        [[0.4375, 0.0625, 0.25, 0.25], [0.0625, 0.4375, 0.25, 0.25],
+         [0, 0, 0.875, 0.125], [0, 0, 0.125, 0.875]],
+        U4, Family.FOUR_BLOCK_DIAG, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.AS_RANDOM_VARIABLE, "n^0.375", SIGN_FREE, None),
+            ("dom_fluct", K.AS_RANDOM_VARIABLE, "n^0.75", SIGN_FREE, None),
+        ],
+    ),
+    "four_diag_periodic": (
+        [[0.375, 0.125, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25],
+         [0, 0, 0, 1], [0, 0, 1, 0]],
+        U4, Family.FOUR_BLOCK_DIAG, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.5 log n)", MIXED, 0.0625),
+            ("dom_fluct", K.NORMAL, "n^0.5", PERIODIC, 0.3333333333333333),
+        ],
+    ),
+    "four_jordan_zero": (
+        [[0.25, 0.25, 0.375, 0.125], [0.25, 0.25, 0.125, 0.375],
+         [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+        U4, Family.FOUR_BLOCK_JORDAN, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.EXACTLY_CONSTANT_TRACK, "Pi_n(0)", FROZEN, None),
+            ("dom_fluct", K.NORMAL_MIXTURE, "n^0.25",
+             "replacement maps this track's vector onto the sub-block fluctuation "
+             "vector; normal with variance proportional to the sub-block mass "
+             "limit", 2.0),
+        ],
+    ),
+    "four_jordan_below": (
+        [[0.3, 0.1, 0.5, 0.1], [0.1, 0.3, 0.3, 0.3],
+         [0, 0, 0.7, 0.3], [0, 0, 0.3, 0.7]],
+        U4, Family.FOUR_BLOCK_JORDAN, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.4", SUB_MASS.format("0.4"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.4 log n)", MIXED,
+             0.039999999999999966),
+            ("dom_fluct", K.NORMAL, "n^0.5", GENERALIZED, 19.99999999999997),
+        ],
+    ),
+    "four_jordan_sub_total": (
+        [[0.375, 0.125, 0.4, 0.1], [0.125, 0.375, 0.3, 0.2],
+         [0, 0, 0.75, 0.25], [0, 0, 0.25, 0.75]],
+        U4, Family.FOUR_BLOCK_JORDAN, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.5", SUB_MASS.format("0.5"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.5 log n)", MIXED, 0.0625),
+            ("dom_fluct", K.AS_RANDOM_VARIABLE, "n^0.5 log n",
+             "log-slowed track sharing the sub_total track's limit", None),
+        ],
+    ),
+    "four_jordan_sub_fluct": (
+        [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.05, 0.15],
+         [0, 0, 0.8, 0.2], [0, 0, 0.2, 0.8]],
+        U4, Family.FOUR_BLOCK_JORDAN, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.8", SUB_MASS.format("0.8"), None),
+            ("sub_fluct", K.AS_RANDOM_VARIABLE, "n^0.6", SIGN_FREE, None),
+            ("dom_fluct", K.AS_RANDOM_VARIABLE, "n^0.6 log n",
+             "log-slowed track sharing the sub_fluct track's limit", None),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BRANCHES))
+def test_predict_pins_every_branch(name):
+    matrix, initial, family, expected = BRANCHES[name]
+    klass = classify(new_spec(matrix, initial))
+    assert klass.family is family
+    got = []
+    for r in predict(klass):
+        value = next(
+            (v for v in (r.variance, r.mixture_coefficient, r.limit_variance)
+             if v is not None),
+            None,
+        )
+        got.append((r.label, r.limit_kind, str(r.normalization), r.notes, value))
+    assert [g[:4] for g in got] == [e[:4] for e in expected]
+    for (label, *_, value), (*_, want) in zip(got, expected):
+        if want is None:
+            assert value is None, label
+        else:
+            assert value == pytest.approx(want, rel=1e-12), label
