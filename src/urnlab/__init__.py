@@ -12,16 +12,10 @@ cli wires everything to JSON configs and artifact files.
 from .core import (
     EnsemblePaths,
     ReplacementSpec,
-    Trajectory,
-    UrnState,
     color_from_uniform,
     default_checkpoints,
-    draw,
-    initial_state,
     new_spec,
-    simulate,
     simulate_many,
-    step,
     trajectory_rng,
 )
 from .laws import (
@@ -50,15 +44,12 @@ from .spectral import (
     stationary_2x2,
 )
 from .verify import (
-    ASDiagnostics,
     CheckResult,
     EnsembleReport,
     PredictionOutcome,
     ReportVerdict,
     RowVerdict,
     VerdictPolicy,
-    as_convergence_diag,
-    estimate_U,
     evaluate_report,
     ks_standard_normal,
     run_ensemble,
@@ -71,16 +62,10 @@ __all__ = [
     "__version__",
     "EnsemblePaths",
     "ReplacementSpec",
-    "Trajectory",
-    "UrnState",
     "color_from_uniform",
     "default_checkpoints",
-    "draw",
-    "initial_state",
     "new_spec",
-    "simulate",
     "simulate_many",
-    "step",
     "trajectory_rng",
     "LawPrediction",
     "LimitKind",
@@ -101,15 +86,12 @@ __all__ = [
     "jordan_basis",
     "normalize_eigvec",
     "stationary_2x2",
-    "ASDiagnostics",
     "CheckResult",
     "EnsembleReport",
     "PredictionOutcome",
     "ReportVerdict",
     "RowVerdict",
     "VerdictPolicy",
-    "as_convergence_diag",
-    "estimate_U",
     "evaluate_report",
     "ks_standard_normal",
     "run_ensemble",

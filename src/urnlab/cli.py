@@ -210,9 +210,13 @@ def _prediction_lines(rows: tuple[LawPrediction, ...]) -> list[str]:
     return lines
 
 
-def _run_oracle_checks(spec: ReplacementSpec, klass: StructureClass) -> tuple[list[str], bool]:
-    """Small-n exact identity checks; returns (lines, all_passed)."""
-    rows = predict(klass)
+def _run_oracle_checks(
+    spec: ReplacementSpec, klass: StructureClass, rows: list[LawPrediction]
+) -> tuple[list[str], bool]:
+    """Small-n exact identity checks on klass's prediction rows.
+
+    Returns (lines, all_passed).
+    """
     lines = []
     ok = True
     n_mean = min(_ORACLE_MEAN_STEPS, MAX_ENUM_STEPS)
@@ -570,7 +574,7 @@ def _dispatch(args) -> int:
             print(line)
         return 0
     if args.command == "oracle-check":
-        lines, ok = _run_oracle_checks(spec, klass)
+        lines, ok = _run_oracle_checks(spec, klass, rows)
         for line in lines:
             print(line)
         print(f"OVERALL {'PASS' if ok else 'FAIL'}")
@@ -579,7 +583,7 @@ def _dispatch(args) -> int:
     oracle_lines = None
     oracle_ok = None
     if args.command == "all":
-        oracle_lines, oracle_ok = _run_oracle_checks(spec, klass)
+        oracle_lines, oracle_ok = _run_oracle_checks(spec, klass, rows)
 
     selection = _select_predictions(cfg, rows)
     try:

@@ -28,17 +28,11 @@ import numpy as np
 
 __all__ = [
     "ReplacementSpec",
-    "UrnState",
-    "Trajectory",
     "EnsemblePaths",
     "new_spec",
-    "initial_state",
     "color_from_uniform",
-    "draw",
-    "step",
     "default_checkpoints",
     "trajectory_rng",
-    "simulate",
     "simulate_many",
 ]
 
@@ -73,30 +67,6 @@ class ReplacementSpec:
     colors: int
     matrix: np.ndarray
     initial: np.ndarray
-
-
-@dataclass(frozen=True)
-class UrnState:
-    """Composition after a given number of completed trials."""
-
-    counts: np.ndarray
-    trials: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated path, recorded on a checkpoint grid.
-
-    states[i] is the composition after checkpoints[i] trials and
-    tracks[p, i] == states[i] . track_vectors[p].
-    """
-
-    seed: int
-    stream: int
-    checkpoints: np.ndarray
-    states: np.ndarray
-    track_vectors: np.ndarray
-    tracks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,10 +139,6 @@ def new_spec(matrix, initial) -> ReplacementSpec:
     return ReplacementSpec(colors=k, matrix=_readonly(r), initial=_readonly(c0))
 
 
-def initial_state(spec: ReplacementSpec) -> UrnState:
-    return UrnState(counts=spec.initial.copy(), trials=0)
-
-
 def color_from_uniform(counts: np.ndarray, u: float) -> int:
     """Map one uniform variate to a color by cumulative-sum inversion.
 
@@ -183,20 +149,6 @@ def color_from_uniform(counts: np.ndarray, u: float) -> int:
     cum = np.cumsum(counts)
     scaled = u * cum[-1]
     return int(np.count_nonzero(cum[:-1] <= scaled))
-
-
-def draw(state: UrnState, rng: np.random.Generator) -> int:
-    """Draw one color; consumes exactly one uniform variate from rng."""
-    if float(state.counts.sum()) <= 0.0:
-        raise RuntimeError("cannot draw from an empty urn")
-    return color_from_uniform(state.counts, rng.random())
-
-
-def step(spec: ReplacementSpec, state: UrnState, color: int) -> UrnState:
-    """Add the drawn color's replacement row to the composition."""
-    if not 0 <= color < spec.colors:
-        raise ValueError(f"color {color} out of range for {spec.colors} colors")
-    return UrnState(counts=state.counts + spec.matrix[color], trials=state.trials + 1)
 
 
 def default_checkpoints(horizon: int) -> np.ndarray:
@@ -343,30 +295,3 @@ def simulate_many(
         tracks=tracks,
     )
 
-
-def simulate(
-    spec: ReplacementSpec,
-    horizon: int,
-    seed: int,
-    stream: int = 0,
-    *,
-    checkpoints=None,
-    track_vectors=None,
-) -> Trajectory:
-    """Simulate one trajectory; deterministic given (seed, stream)."""
-    paths = simulate_many(
-        spec,
-        horizon,
-        seed,
-        [stream],
-        checkpoints=checkpoints,
-        track_vectors=track_vectors,
-    )
-    return Trajectory(
-        seed=int(seed),
-        stream=int(stream),
-        checkpoints=paths.checkpoints,
-        states=paths.states[0],
-        track_vectors=paths.track_vectors,
-        tracks=paths.tracks[0].T.copy(),
-    )

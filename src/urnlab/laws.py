@@ -332,6 +332,22 @@ def _positive_as_row(
     )
 
 
+def _generalized_normal_row(
+    vector: np.ndarray, rate: float, pi2: float, initial: float
+) -> LawPrediction:
+    """Generalized-eigenvector dom_fluct track with its eigenvalue below 1/2."""
+    return LawPrediction(
+        label="dom_fluct",
+        vector=vector,
+        normalization=Normalization.power(0.5),
+        limit_kind=LimitKind.NORMAL,
+        variance=rate * rate / (1.0 - 2.0 * rate) * pi2,
+        initial_value=initial,
+        notes="generalized-eigenvector track at the repeated "
+        "eigenvalue, still normal below the 1/2 threshold",
+    )
+
+
 def _identity_rows(klass: StructureClass) -> list[LawPrediction]:
     spec = klass.spec
     rows = [_mass_row(spec)]
@@ -378,6 +394,13 @@ def predict(klass: StructureClass) -> list[LawPrediction]:
     initial = {label: float(spec.initial @ vec) for label, vec, _ in klass.vectors}
     vec = {label: v for label, v, _ in klass.vectors}
     fam = klass.family
+    # Set by the two-dominant classifiers when the dominant block alternates.
+    periodic = any("alternates" in w for w in klass.warnings)
+    note = (
+        "dominant block is periodic; this normal claim is unverified"
+        if periodic
+        else ""
+    )
 
     if fam is Family.IDENTITY:
         rows = _identity_rows(klass)
@@ -411,12 +434,6 @@ def predict(klass: StructureClass) -> list[LawPrediction]:
             ),
         ]
     elif fam is Family.THREE_TWO_DOMINANT_DIAG:
-        periodic = any("alternates" in w for w in klass.warnings)
-        note = (
-            "dominant block is periodic; this normal claim is unverified"
-            if periodic
-            else ""
-        )
         pi2 = _pi_weighted_square(klass.stationary_dom, klass.eigvec_lam)
         rows = [
             _mass_row(spec),
@@ -442,18 +459,7 @@ def predict(klass: StructureClass) -> list[LawPrediction]:
             ),
         ]
         if s < 0.5 - REPEAT_TOL:
-            rows.append(
-                LawPrediction(
-                    label="dom_fluct",
-                    vector=t2,
-                    normalization=Normalization.power(0.5),
-                    limit_kind=LimitKind.NORMAL,
-                    variance=s * s / (1.0 - 2.0 * s) * pi2,
-                    initial_value=initial["dom_fluct"],
-                    notes="generalized-eigenvector track at the repeated "
-                    "eigenvalue, still normal below the 1/2 threshold",
-                )
-            )
+            rows.append(_generalized_normal_row(t2, s, pi2, initial["dom_fluct"]))
         else:
             rows.append(
                 LawPrediction(
@@ -469,12 +475,6 @@ def predict(klass: StructureClass) -> list[LawPrediction]:
                 )
             )
     elif fam is Family.FOUR_BLOCK_DIAG:
-        periodic = any("alternates" in w for w in klass.warnings)
-        note = (
-            "dominant block is periodic; this normal claim is unverified"
-            if periodic
-            else ""
-        )
         pi2_sub = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
         pi2_dom = _pi_weighted_square(klass.stationary_dom, klass.eigvec_beta)
         rows = [
@@ -530,16 +530,7 @@ def predict(klass: StructureClass) -> list[LawPrediction]:
             )
         elif beta < 0.5 - REPEAT_TOL:
             rows.append(
-                LawPrediction(
-                    label="dom_fluct",
-                    vector=t3,
-                    normalization=Normalization.power(0.5),
-                    limit_kind=LimitKind.NORMAL,
-                    variance=beta * beta / (1.0 - 2.0 * beta) * pi2_dom,
-                    initial_value=initial["dom_fluct"],
-                    notes="generalized-eigenvector track at the repeated "
-                    "eigenvalue, still normal below the 1/2 threshold",
-                )
+                _generalized_normal_row(t3, beta, pi2_dom, initial["dom_fluct"])
             )
         else:
             co = "sub_total" if abs(beta - s) <= REPEAT_TOL else "sub_fluct"

@@ -95,7 +95,6 @@ class StructureClass:
     stationary_dom: np.ndarray | None = None
     eigvec_lam: np.ndarray | None = None
     eigvec_beta: np.ndarray | None = None
-    coupling_row: np.ndarray | None = None
     jordan_basis_matrix: np.ndarray | None = None
     jordan_form: np.ndarray | None = None
     vectors: tuple[tuple[str, np.ndarray, float | None], ...] = ()
@@ -347,7 +346,7 @@ def _jordan_three(s: float, xi_pinned: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Columns: the minor eigenvector, the generalized vector (0, xi_pinned),
     and the all-ones vector.  xi_pinned must already satisfy
-    (1-s) * coupling_row . xi_pinned = 1 so that R t2 = t1 + s t2.
+    (1-s) * coupling . xi_pinned = 1 so that R t2 = t1 + s t2.
     """
     t = np.zeros((3, 3))
     t[:, 0] = (1.0, 0.0, 0.0)
@@ -392,7 +391,6 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
         lam=lam,
         stationary_dom=pi_p,
         eigvec_lam=xi,
-        coupling_row=coupling.copy(),
     )
     if abs(lam - s) <= REPEAT_TOL:
         pxi = float(coupling @ xi)

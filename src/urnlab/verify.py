@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplacementSpec, Trajectory, default_checkpoints, simulate_many
+from .core import ReplacementSpec, _validated_checkpoints, simulate_many
 from .laws import LawPrediction, LimitKind, pi_n, predict
 from .spectral import StructureClass
 
@@ -31,7 +31,6 @@ __all__ = [
     "MIN_HORIZON",
     "MIN_ENSEMBLE",
     "U_FLOOR",
-    "ASDiagnostics",
     "PredictionOutcome",
     "EnsembleReport",
     "VerdictPolicy",
@@ -40,8 +39,6 @@ __all__ = [
     "ReportVerdict",
     "ks_standard_normal",
     "studentize",
-    "estimate_U",
-    "as_convergence_diag",
     "run_ensemble",
     "evaluate_report",
 ]
@@ -120,66 +117,6 @@ def studentize(
         return z, int(x.size - keep.sum())
     raise ValueError(
         f"track {prediction.label!r} is not a (mixture-)normal track"
-    )
-
-
-def estimate_U(trajectory: Trajectory, klass: StructureClass) -> float:
-    """Terminal estimate of the sub-block mass limit for mixture classes.
-
-    Reads the mixing track named by the class's mixture prediction at the
-    trajectory's final checkpoint.  Classes without a mixture track have no
-    such estimate and are refused.
-    """
-    rows = predict(klass)
-    mixing = next(
-        (r.mixing_label for r in rows if r.limit_kind is LimitKind.NORMAL_MIXTURE),
-        None,
-    )
-    if mixing is None:
-        raise ValueError(
-            f"{klass.family.value} has no mixture track, so no sub-block "
-            "mass estimate is defined"
-        )
-    target = next(r for r in rows if r.label == mixing)
-    n = int(trajectory.checkpoints[-1])
-    return float(trajectory.states[-1] @ target.vector / target.normalization.at(n))
-
-
-@dataclass(frozen=True, eq=False)
-class ASDiagnostics:
-    """Settling diagnostics for an almost-sure track."""
-
-    tail_fluctuations: np.ndarray | None
-    terminal_values: np.ndarray
-    terminal_variance: float
-    median_tail_fluctuation: float | None
-    median_terminal_abs: float
-
-
-def as_convergence_diag(checkpoints, normalized_tracks) -> ASDiagnostics:
-    """Per-trajectory max |x(n) - x(N)| over checkpoints in [N/4, N).
-
-    normalized_tracks has one row per trajectory, one column per
-    checkpoint.  An empty tail window (too coarse a grid) yields None
-    fluctuations.
-    """
-    cps = np.asarray(checkpoints)
-    tracks = np.asarray(normalized_tracks, dtype=float)
-    horizon = int(cps[-1])
-    terminal = tracks[:, -1]
-    region = (cps >= horizon / 4) & (cps < horizon)
-    if region.any():
-        fluct = np.abs(tracks[:, region] - terminal[:, None]).max(axis=1)
-        med_fluct = float(np.median(fluct))
-    else:
-        fluct = None
-        med_fluct = None
-    return ASDiagnostics(
-        tail_fluctuations=fluct,
-        terminal_values=terminal,
-        terminal_variance=float(terminal.var(ddof=1)) if terminal.size > 1 else 0.0,
-        median_tail_fluctuation=med_fluct,
-        median_terminal_abs=float(np.median(np.abs(terminal))),
     )
 
 
@@ -273,14 +210,11 @@ def run_ensemble(
             f"resource cap: horizon * ensemble = {horizon * ensemble} exceeds "
             f"max_draws = {max_draws}"
         )
+    cps = _validated_checkpoints(checkpoints, horizon)
+    if cps[-1] != horizon:
+        raise ValueError("checkpoint grid must end at the horizon")
     all_rows = predict(klass)
     labels = _row_labels(predictions, all_rows)
-    if checkpoints is None:
-        cps = default_checkpoints(horizon)
-    else:
-        cps = np.asarray(checkpoints, dtype=np.int64)
-        if cps[-1] != horizon:
-            raise ValueError("checkpoint grid must end at the horizon")
     paths = simulate_many(
         spec,
         horizon,
@@ -335,10 +269,15 @@ def run_ensemble(
             with np.errstate(invalid="ignore", divide="ignore"):
                 norm_grid = row.normalization.at(cps)
                 tracks_norm = paths.tracks[:, :, idx] / norm_grid[None, :]
-            diag = as_convergence_diag(cps, tracks_norm)
-            fields["tail_fluctuations"] = diag.tail_fluctuations
-            fields["median_tail_fluctuation"] = diag.median_tail_fluctuation
-            fields["median_terminal_abs"] = diag.median_terminal_abs
+            # Settling: per-trajectory max |x(n) - x(N)| over checkpoints in
+            # [N/4, N); a grid with no checkpoint there yields None.
+            terminal = tracks_norm[:, -1]
+            region = (cps >= horizon / 4) & (cps < horizon)
+            if region.any():
+                fluct = np.abs(tracks_norm[:, region] - terminal[:, None]).max(axis=1)
+                fields["tail_fluctuations"] = fluct
+                fields["median_tail_fluctuation"] = float(np.median(fluct))
+            fields["median_terminal_abs"] = float(np.median(np.abs(terminal)))
             if row.positive_limit:
                 fields["all_positive"] = bool((raw_terminal > 0.0).all())
             if row.co_limit_label is not None:

@@ -10,11 +10,8 @@ from urnlab import core
 from urnlab import (
     color_from_uniform,
     default_checkpoints,
-    initial_state,
     new_spec,
-    simulate,
     simulate_many,
-    step,
     trajectory_rng,
 )
 
@@ -79,16 +76,6 @@ def test_default_checkpoints_powers_of_two():
     assert default_checkpoints(1).tolist() == [0, 1]
 
 
-def test_step_adds_drawn_row():
-    spec = new_spec(*TWO)
-    state = initial_state(spec)
-    after = step(spec, state, 1)
-    assert after.trials == 1
-    assert after.counts == pytest.approx([0.9, 1.1])
-    with pytest.raises(ValueError, match="out of range"):
-        step(spec, state, 2)
-
-
 @given(
     counts=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5).filter(
         lambda c: sum(c) > 1e-9
@@ -125,15 +112,6 @@ def test_block_draws_match_sequential_draws():
     block = g1.random(64)
     seq = np.array([g2.random() for _ in range(64)])
     assert block.tolist() == seq.tolist()
-
-
-def test_simulate_matches_simulate_many_bitwise():
-    spec = new_spec(*TWO)
-    one = simulate(spec, 300, seed=11, stream=3, track_vectors=[[1.0, -1.0]])
-    many = simulate_many(spec, 300, 11, [0, 3, 5], track_vectors=[[1.0, -1.0]])
-    i = list(many.streams).index(3)
-    assert one.states.tolist() == many.states[i].tolist()
-    assert one.tracks[0].tolist() == many.tracks[i, :, 0].tolist()
 
 
 def test_simulate_many_batch_size_is_invisible():
@@ -238,20 +216,20 @@ def test_mass_law_exact_at_checkpoints():
 
 def test_counts_never_decrease():
     spec = new_spec(*TWO)
-    t = simulate(spec, 256, seed=9)
-    diffs = np.diff(t.states, axis=0)
+    paths = simulate_many(spec, 256, 9, [0])
+    diffs = np.diff(paths.states[0], axis=0)
     assert diffs.min() >= -1e-12
 
 
 def test_custom_checkpoints_validated():
     spec = new_spec(*TWO)
     with pytest.raises(ValueError, match="strictly increasing"):
-        simulate(spec, 10, seed=0, checkpoints=[0, 5, 5])
+        simulate_many(spec, 10, 0, 1, checkpoints=[0, 5, 5])
     with pytest.raises(ValueError, match="within"):
-        simulate(spec, 10, seed=0, checkpoints=[0, 20])
-    t = simulate(spec, 10, seed=0, checkpoints=[3, 10])
-    assert t.checkpoints.tolist() == [3, 10]
-    assert t.states[0].sum() == pytest.approx(4.0)
+        simulate_many(spec, 10, 0, 1, checkpoints=[0, 20])
+    paths = simulate_many(spec, 10, 0, 1, checkpoints=[3, 10])
+    assert paths.checkpoints.tolist() == [3, 10]
+    assert paths.states[0, 0].sum() == pytest.approx(4.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,6 +238,6 @@ def test_row_rescaling_leaves_dynamics_unchanged(seed, scale):
     base = np.array(TWO[0])
     s1 = new_spec(base, [0.5, 0.5])
     s2 = new_spec(base * scale, [0.5, 0.5])
-    a = simulate(s1, 64, seed=seed)
-    b = simulate(s2, 64, seed=seed)
+    a = simulate_many(s1, 64, seed, [0])
+    b = simulate_many(s2, 64, seed, [0])
     assert a.states.tolist() == b.states.tolist()

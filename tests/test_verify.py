@@ -6,13 +6,11 @@ from urnlab import (
     LimitKind,
     VerdictPolicy,
     classify,
-    estimate_U,
     evaluate_report,
     ks_standard_normal,
     new_spec,
     predict,
     run_ensemble,
-    simulate,
     studentize,
 )
 
@@ -73,15 +71,12 @@ def test_studentize_rejects_constant_tracks():
 
 
 def test_estimate_u_positive_and_matches_track():
-    k = classify(MIX)
-    t = simulate(MIX, 2000, seed=3)
-    u = estimate_U(t, k)
-    sub_total = [r for r in predict(k) if r.label == "sub_total"][0]
-    expected = t.states[-1] @ sub_total.vector / 2000**0.5
-    assert u == pytest.approx(expected)
-    assert u > 0
-    with pytest.raises(ValueError, match="mixture"):
-        estimate_U(simulate(TWO, 1000, seed=1), classify(TWO))
+    rep = run_ensemble(MIX, classify(MIX), horizon=2000, ensemble=100, seed=3)
+    sub_total = rep.track_values[:, -1, rep.track_labels.index("sub_total")]
+    assert rep.u_hats == pytest.approx(sub_total / 2000**0.5)
+    assert (rep.u_hats > 0).all()
+    two = run_ensemble(TWO, classify(TWO), horizon=1000, ensemble=100, seed=1)
+    assert two.u_hats is None
 
 
 def test_run_ensemble_is_deterministic():
@@ -106,6 +101,13 @@ def test_run_ensemble_guards():
         run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=[0, 500])
     with pytest.raises(ValueError, match="unknown prediction"):
         run_ensemble(TWO, k, predictions=["nope"], horizon=1000, ensemble=100)
+
+
+def test_run_ensemble_rejects_bad_checkpoint_grids():
+    k = classify(TWO)
+    for bad in ([], 5, [[0, 1000]]):
+        with pytest.raises(ValueError, match="checkpoints"):
+            run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=bad)
 
 
 def test_run_ensemble_selection_by_label():
