@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urnlab import core
@@ -204,6 +204,48 @@ def test_first_kernel_draw_matches_color_from_uniform(counts, seed):
         for s in streams
     ]
     assert drawn.tolist() == expected
+
+
+def _scalar_paths(spec, horizon, seed, streams):
+    # Reference stepper: one trajectory at a time, one uniform per draw, the
+    # draw rule of color_from_uniform and a plain add of the drawn row.
+    out = np.empty((len(streams), horizon + 1, spec.colors))
+    for i, s in enumerate(streams):
+        rng = trajectory_rng(seed, s)
+        counts = spec.initial.copy()
+        out[i, 0] = counts
+        for n in range(1, horizon + 1):
+            counts = counts + spec.matrix[color_from_uniform(counts, rng.random())]
+            out[i, n] = counts
+    return out
+
+
+@st.composite
+def _urn_models(draw):
+    # Non-dyadic rows built from small integer weights, so zero entries are
+    # common; every row shares the sum `scale`, which new_spec divides out.
+    k = draw(st.integers(2, 4))
+    weights = st.lists(st.integers(0, 7), min_size=k, max_size=k)
+    rows = [draw(weights.filter(any)) for _ in range(k)]
+    scale = draw(st.sampled_from([0.3, 1.0, 1.7, 3.0]))
+    matrix = [[scale * w / sum(row) for w in row] for row in rows]
+    c0 = draw(weights)
+    c0[draw(st.integers(0, k - 1))] = 0
+    assume(any(c0))
+    return matrix, [w / sum(c0) for w in c0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_urn_models(), seed=st.integers(0, 2**31))
+def test_simulate_many_matches_scalar_stepper(model, seed):
+    spec = new_spec(*model)
+    horizon, streams = 30, [0, 3, 7]
+    expected = _scalar_paths(spec, horizon, seed, streams)
+    states = simulate_many(
+        spec, horizon, seed, streams, checkpoints=np.arange(horizon + 1)
+    ).states
+    assert np.array_equal(states, expected)
+    assert np.array_equal(np.signbit(states), np.signbit(expected))
 
 
 def test_mass_law_exact_at_checkpoints():
