@@ -91,6 +91,7 @@ def new_spec(matrix, initial) -> ReplacementSpec:
     All rows must share a common sum.  A common sum c != 1 is divided out,
     since only the row direction matters to the dynamics once mass growth
     is uniform.  The initial composition must be a probability vector.
+    Negative zeros in either are stored as +0.0.
     """
     r = np.array(matrix, dtype=float)
     c0 = np.array(initial, dtype=float)
@@ -136,7 +137,11 @@ def new_spec(matrix, initial) -> ReplacementSpec:
         raise ValueError(
             f"initial composition must sum to 1, got {total0!r}"
         )
-    return ReplacementSpec(colors=k, matrix=_readonly(r), initial=_readonly(c0))
+    # + 0.0 turns -0.0 into +0.0 and leaves every other value alone, so no
+    # count or added row carries the sign of a zero.
+    return ReplacementSpec(
+        colors=k, matrix=_readonly(r + 0.0), initial=_readonly(c0 + 0.0)
+    )
 
 
 def color_from_uniform(counts: np.ndarray, u: float) -> int:

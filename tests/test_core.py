@@ -70,6 +70,16 @@ def test_new_spec_rejects_bad_shapes_and_mass():
         new_spec([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
 
 
+def test_new_spec_canonicalizes_negative_zeros():
+    # -0.0 and 0.0 are the same model; no state may carry the sign of a zero.
+    neg = new_spec([[1.0, -0.0], [0.5, 0.5]], [1.0, -0.0])
+    pos = new_spec([[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0])
+    a = simulate_many(neg, 4, 0, 3, checkpoints=np.arange(5)).states
+    b = simulate_many(pos, 4, 0, 3, checkpoints=np.arange(5)).states
+    assert a.tobytes() == b.tobytes()
+    assert not np.signbit(a).any()
+
+
 def test_default_checkpoints_powers_of_two():
     assert default_checkpoints(10).tolist() == [0, 1, 2, 4, 8, 10]
     assert default_checkpoints(8).tolist() == [0, 1, 2, 4, 8]
