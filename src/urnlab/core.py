@@ -21,6 +21,7 @@ UNIFORM_BLOCK_BYTES bytes over the ensemble; neither bound changes a result.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,9 +185,17 @@ def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
 def _validated_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     if checkpoints is None:
         return default_checkpoints(horizon)
-    cps = np.asarray(checkpoints, dtype=np.int64)
-    if cps.ndim != 1 or cps.size == 0:
+    # Held as objects so no entry is cast to int64 before it is checked.
+    raw = np.asarray(checkpoints, dtype=object)
+    if raw.ndim != 1 or raw.size == 0:
         raise ValueError("checkpoints must be a non-empty 1-d integer sequence")
+    for i, v in enumerate(raw):
+        if isinstance(v, (bool, np.bool_)) or not (
+            isinstance(v, numbers.Integral)
+            or (isinstance(v, numbers.Real) and float(v).is_integer())
+        ):
+            raise ValueError(f"checkpoints[{i}] is not an integer: {v!r}")
+    cps = raw.astype(np.int64)
     if np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
     if cps[0] < 0 or cps[-1] > horizon:
@@ -229,6 +238,9 @@ def simulate_many(
         stream_ids = np.asarray(list(streams), dtype=np.int64)
     if stream_ids.size == 0:
         raise ValueError("need at least one stream")
+    ids, seen = np.unique(stream_ids, return_counts=True)
+    if seen.max() > 1:
+        raise ValueError(f"stream {int(ids[seen > 1][0])} is listed more than once")
     m = stream_ids.size
     cps = _validated_checkpoints(checkpoints, horizon)
     if track_vectors is None:

@@ -279,9 +279,25 @@ def test_custom_checkpoints_validated():
         simulate_many(spec, 10, 0, 1, checkpoints=[0, 5, 5])
     with pytest.raises(ValueError, match="within"):
         simulate_many(spec, 10, 0, 1, checkpoints=[0, 20])
+    for bad, entry in (([0, 2.5, 10], "2.5"), ([0, True, 10], "True"),
+                       (np.array([0, 3.9, 10]), "3.9")):
+        with pytest.raises(ValueError, match=rf"checkpoints\[1\] .*{entry}"):
+            simulate_many(spec, 10, 0, 1, checkpoints=bad)
     paths = simulate_many(spec, 10, 0, 1, checkpoints=[3, 10])
     assert paths.checkpoints.tolist() == [3, 10]
     assert paths.states[0, 0].sum() == pytest.approx(4.0)
+    # An integral float is a valid checkpoint.
+    assert simulate_many(spec, 10, 0, 1, checkpoints=[3.0, 10]).states.tolist() == (
+        paths.states.tolist()
+    )
+
+
+def test_duplicate_streams_rejected():
+    spec = new_spec(*TWO)
+    with pytest.raises(ValueError, match="stream 3 is listed more than once"):
+        simulate_many(spec, 8, 1, [3, 3])
+    with pytest.raises(ValueError, match="stream 0"):
+        simulate_many(spec, 8, 1, [0, 2, 0])
 
 
 @settings(max_examples=25, deadline=None)

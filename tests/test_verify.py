@@ -108,6 +108,10 @@ def test_run_ensemble_rejects_bad_checkpoint_grids():
     for bad in ([], 5, [[0, 1000]]):
         with pytest.raises(ValueError, match="checkpoints"):
             run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=bad)
+    # Non-integral entries are named, not truncated.
+    for bad in ([0, 2.5, 1000], [0, True, 1000], np.array([0, 3.9, 1000])):
+        with pytest.raises(ValueError, match=r"checkpoints\[1\] is not an integer"):
+            run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=bad)
 
 
 def test_run_ensemble_selection_by_label():
