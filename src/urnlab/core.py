@@ -283,22 +283,31 @@ def simulate_many(
     u = np.empty((m, min(batch_steps, horizon, cap)))
     cum = np.empty((k, m))
     scaled = np.empty(m)
-    below = np.empty((k - 1, m), dtype=bool)
-    colors = np.empty(m, dtype=np.intp)
+    # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True and
+    # ext[K] = False; the one adjacent pair that differs marks the drawn colour.
+    ext = np.empty((k + 1, m), dtype=bool)
+    ext[0] = True
+    ext[k] = False
+    one_hot = np.empty((k, m))
     add = np.empty((k, m))
+    # Views the step loop uses, built once.
+    cum_first, counts_first = cum[0], counts[0]
+    prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
+    cum_head, cum_total = cum[: k - 1], cum[k - 1]
+    ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
     n = 0
     while n < horizon:
         block = min(u.shape[1], horizon - n)
         for i, g in enumerate(gens):
             g.random(out=u[i, :block])
         for t in range(block):
-            cum[0] = counts[0]
-            for j in range(1, k):
-                np.add(cum[j - 1], counts[j], out=cum[j])
-            np.multiply(u[:, t], cum[k - 1], out=scaled)
-            np.less_equal(cum[: k - 1], scaled, out=below)
-            np.add.reduce(below, axis=0, dtype=np.intp, out=colors)
-            np.take(rows_t, colors, axis=1, out=add)
+            np.copyto(cum_first, counts_first)
+            for prev, row, out in prefix_adds:
+                np.add(prev, row, out=out)
+            np.multiply(u[:, t], cum_total, out=scaled)
+            np.less_equal(cum_head, scaled, out=ext_head)
+            np.not_equal(ext_upper, ext_lower, out=one_hot, casting="unsafe")
+            np.matmul(rows_t, one_hot, out=add)
             counts += add
             n += 1
             if n in cp_index:
