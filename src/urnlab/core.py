@@ -15,9 +15,12 @@ running prefix sums of the counts in colour order, colour i is drawn iff
 cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
 counts colour-major, as a (K, M) array over M trajectories, and forms cum by
 K-1 vector adds in colour order, so every rounding step matches
-np.cumsum(counts) and color_from_uniform.  Uniform variates are generated per
-trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
-UNIFORM_BLOCK_BYTES bytes over the ensemble; neither bound changes a result.
+np.cumsum(counts) and color_from_uniform.  The drawn colours become a one-hot
+(K, M) matrix, and one matrix product with the transposed replacement matrix
+yields the drawn rows; every product in it is R * 0 = +0.0 or R * 1 = R, so
+the rows come out exact.  Uniform variates are generated per trajectory in
+blocks of at most DEFAULT_BATCH_STEPS steps and at most UNIFORM_BLOCK_BYTES
+bytes over the ensemble; neither bound changes a result.
 """
 from __future__ import annotations
 
@@ -223,6 +226,23 @@ def simulate_many(
     colour i iff cum[i-1] <= u * cum[K-1] < cum[i], and adds that colour's
     replacement row.  The counts are held colour-major as (K, M) and cum is
     built by K-1 vector adds in colour order, the same adds as np.cumsum.
+
+    A step is four calls after the prefix sums: the comparison
+    cum[:K-1] <= u * cum[K-1] fills rows 1..K-1 of a bool (K+1, M) buffer
+    whose row 0 is True and row K False; adjacent rows that differ give a
+    float one-hot (K, M) matrix; R.T @ one_hot is the drawn rows; one add.
+    This returns exactly the row the count of Trues selects:
+
+    - counts are >= 0, so the float prefix sums never decrease and every
+      buffer column reads True...True False...False;
+    - so the one-hot column has a single 1, at the colour the draw rule
+      chooses (the number of prefix sums <= u * cum[K-1]);
+    - every product in the matrix product is R * 0 = +0.0 or R * 1 = R, so
+      the sum is R in any summation order, with or without fused
+      multiply-add;
+    - the one value this could change is the sign of a zero (-0.0 + +0.0 is
+      +0.0), and new_spec stores no -0.0.
+
     Uniforms come in blocks of min(batch_steps, UNIFORM_BLOCK_BYTES // (8 M))
     steps (at least one); batch_steps and the byte bound only control
     memory and never change a value.  states keeps the (M, C, K) layout and
