@@ -193,10 +193,10 @@ def _validated_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("checkpoints must be a non-empty 1-d integer sequence")
     for i, v in enumerate(raw):
-        if isinstance(v, (bool, np.bool_)) or not (
-            isinstance(v, numbers.Integral)
-            or (isinstance(v, numbers.Real) and float(v).is_integer())
-        ):
+        integral = isinstance(v, numbers.Integral) or (
+            isinstance(v, numbers.Real) and float(v).is_integer()
+        )
+        if not integral or isinstance(v, (bool, np.bool_)):
             raise ValueError(f"checkpoints[{i}] is not an integer: {v!r}")
     cps = raw.astype(np.int64)
     if np.any(np.diff(cps) <= 0):
@@ -326,7 +326,7 @@ def simulate_many(
                 np.add(prev, row, out=out)
             np.multiply(u[:, t], cum_total, out=scaled)
             np.less_equal(cum_head, scaled, out=ext_head)
-            np.not_equal(ext_upper, ext_lower, out=one_hot, casting="unsafe")
+            np.not_equal(ext_upper, ext_lower, out=one_hot)
             np.matmul(rows_t, one_hot, out=add)
             counts += add
             n += 1
