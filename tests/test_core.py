@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,3 +310,142 @@ def test_row_rescaling_leaves_dynamics_unchanged(seed, scale):
     a = simulate_many(s1, 64, seed, [0])
     b = simulate_many(s2, 64, seed, [0])
     assert a.states.tolist() == b.states.tolist()
+
+
+def test_fractional_and_bool_seeds_and_streams_rejected():
+    spec = new_spec(*TWO)
+    for seed in (1.5, True, np.bool_(False), np.float64(2.25), float("nan")):
+        with pytest.raises(ValueError, match="seed is not an integer"):
+            simulate_many(spec, 5, seed, 2)
+        with pytest.raises(ValueError, match="seed is not an integer"):
+            trajectory_rng(seed, 0)
+    for streams, name in (([1.5], r"streams\[0\]"), ([0, True], r"streams\[1\]"),
+                          (np.array([0.0, 2.5]), r"streams\[1\]")):
+        with pytest.raises(ValueError, match=rf"{name} is not an integer"):
+            simulate_many(spec, 5, 1, streams)
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match="stream count is not an integer"):
+            simulate_many(spec, 5, 1, count)
+    with pytest.raises(ValueError, match="stream is not an integer"):
+        trajectory_rng(1, 1.5)
+    # Integral values of any numeric type name the same trajectories.
+    paths = simulate_many(spec, 5, 1, [0, 3])
+    for seed, streams in ((1.0, [0, 3]), (np.int32(1), [0.0, np.uint8(3)]),
+                          (1, np.array([0, 3], dtype=np.uint64))):
+        again = simulate_many(spec, 5, seed, streams)
+        assert again.states.tobytes() == paths.states.tobytes()
+        assert type(again.seed) is int and again.streams.tolist() == [0, 3]
+    assert simulate_many(spec, 5, 1, 2.0).states.tobytes() == (
+        simulate_many(spec, 5, 1, 2).states.tobytes()
+    )
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_bad_seed_and_stream_rejected_before_allocation():
+    spec = new_spec(*TWO)
+    horizon, m = 1024, 10**6
+    states_bytes = m * default_checkpoints(horizon).size * spec.colors * 8
+
+    def negative_seed():
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simulate_many(spec, horizon, -1, m)
+
+    assert _peak_bytes(negative_seed) < 10**6 < states_bytes / 100
+    for stream in (2**63, 2**64 + 1, -1, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=r"streams\[1\] must lie in \[0, 2\*\*63\)"):
+            simulate_many(spec, 4, 1, [0, stream])
+        with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\*\*63\)"):
+            trajectory_rng(1, stream)
+    streams = [*range(10**5), 2**63]
+
+    def huge_stream():
+        with pytest.raises(ValueError, match=r"streams\[100000\] must lie"):
+            simulate_many(spec, horizon, 1, streams)
+
+    states_bytes = len(streams) * default_checkpoints(horizon).size * spec.colors * 8
+    assert _peak_bytes(huge_stream) < states_bytes / 10
+
+
+_SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
+    st.integers(2**128, 2**200),
+)
+_ONE_WORD = st.one_of(st.just(0), st.integers(1, 2**32 - 1))
+_TWO_WORDS = st.integers(2**32, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=_SEEDS,
+    narrow=_ONE_WORD,
+    wide=_TWO_WORDS,
+    more=st.lists(st.one_of(_ONE_WORD, _TWO_WORDS), max_size=6),
+)
+def test_stream_keys_match_seed_sequence(seed, narrow, wide, more):
+    # One- and two-word stream ids in one call, so both word counts run.
+    streams = [narrow, wide, *more]
+    keys = core._stream_keys(seed, np.array(streams, dtype=np.int64))
+    assert keys.shape == (len(streams), 2) and keys.dtype == np.uint64
+    for s, key in zip(streams, keys):
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(s,)).generate_state(
+            2, np.uint64
+        )
+        assert key.tolist() == expected.tolist(), (seed, s)
+    for s, key in zip(streams[:2], keys):
+        keyed = trajectory_rng(seed, s, key=key).random(9)
+        assert keyed.tolist() == trajectory_rng(seed, s).random(9).tolist()
+
+
+class _CountingGenerator:
+    # Forwards random() like the benchmark tracer's proxy does.
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+
+    def random(self, *args, **kwargs):
+        self._calls["random"] += 1
+        return self._gen.random(*args, **kwargs)
+
+
+def test_simulate_many_builds_each_generator_through_trajectory_rng(monkeypatch):
+    # perfbench/tracer.py times core.rng by wrapping this module-global name.
+    spec = new_spec(*FOUR)
+    streams = [0, 4, 2**40, 9]
+    expected = simulate_many(spec, 300, 5, streams, batch_steps=128)
+    calls = {"rng": 0, "random": 0}
+    original = core.trajectory_rng
+
+    def counting_rng(*args, **kwargs):
+        calls["rng"] += 1
+        return _CountingGenerator(original(*args, **kwargs), calls)
+
+    monkeypatch.setattr(core, "trajectory_rng", counting_rng)
+    paths = simulate_many(spec, 300, 5, streams, batch_steps=128)
+    assert calls == {"rng": len(streams), "random": len(streams) * 3}
+    assert paths.states.tobytes() == expected.states.tobytes()
+
+
+def test_simulate_many_needs_no_seed_sequence(monkeypatch):
+    spec = new_spec(*TWO)
+    expected = simulate_many(spec, 50, 3, [1, 2**35])
+
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("SeedSequence called")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    with pytest.raises(AssertionError, match="SeedSequence called"):
+        trajectory_rng(3, 1)
+    paths = simulate_many(spec, 50, 3, [1, 2**35])
+    assert paths.states.tobytes() == expected.states.tobytes()
