@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -75,6 +74,8 @@ _CONFIG_DEFAULTS = {
 _ORACLE_TOL = 1e-9
 _ORACLE_MEAN_STEPS = 8
 _ORACLE_VARIANCE_STEPS = 6
+# Trajectories per joined block of sample-CSV text.
+_CSV_CHUNK = 1024
 
 
 class ConfigError(Exception):
@@ -109,8 +110,15 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config.{key}: must be a positive integer")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigError("config.seed: must be a nonnegative integer")
-    if not isinstance(cfg["variance_scale"], (int, float)) or cfg["variance_scale"] <= 0:
-        raise ConfigError("config.variance_scale: must be a positive number")
+    scale = cfg["variance_scale"]
+    # JSON's NaN, Infinity and true would parse as numbers; the upper bound
+    # also rejects integers too large for a float.
+    if (
+        not isinstance(scale, (int, float))
+        or isinstance(scale, bool)
+        or not 0 < scale <= sys.float_info.max
+    ):
+        raise ConfigError("config.variance_scale: must be a positive finite number")
     cps = cfg["checkpoints"]
     if cps != "geometric":
         if not isinstance(cps, list) or not cps or any(
@@ -260,50 +268,70 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
+def _float_cells(values) -> np.ndarray:
+    """repr(float(x)) for every x of a float64 array, as an object array of
+    the same shape.
+
+    repr runs once per distinct bit pattern: np.unique works on the int64
+    view, so -0.0 stays apart from 0.0, and NaNs and infinities keep their
+    own cells.  The strings go back into place through the inverse index.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    patterns, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    cells = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+    return cells[inverse].reshape(values.shape)
+
+
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     """One CSV per prediction row: a line per (trajectory, checkpoint).
 
-    Floats are written as repr of the Python float; z and U_hat cells are
-    filled on the terminal checkpoint line only.  Arrays become Python lists
-    once per file, and each trajectory's lines go out in one write.
+    Float cells hold repr of the Python float, formatted by _float_cells;
+    normalized_value is empty where the normalization is not finite, and
+    z_value (empty when not finite) and U_hat are filled on the terminal
+    checkpoint line only.  Each column is an (ensemble, checkpoint) object
+    array of cells; lines are joined in C over _CSV_CHUNK trajectories at a
+    time, so the text of one chunk and the cells of one file are all that is
+    held.
     """
+    ids = np.array(list(map(str, range(report.ensemble))), dtype=object)
+    id_cells = np.broadcast_to(ids[:, None], (report.ensemble, report.checkpoints.size))
+    cp_cells = np.broadcast_to(
+        np.array([str(int(n)) for n in report.checkpoints], dtype=object), id_cells.shape
+    )
     written = []
-    cps = report.checkpoints
-    cp_cells = [str(int(n)) for n in cps]
-    label_to_col = {lab: i for i, lab in enumerate(report.track_labels)}
     for i, outcome in enumerate(report.outcomes):
-        row = outcome.prediction
-        col = label_to_col[row.label]
-        raw = report.track_values[:, :, col]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norm = row.normalization.at(cps)
-            normalized = raw / norm[None, :]
-        shown = np.isfinite(norm).tolist()
-        z_cells = [""] * report.ensemble
-        z_at_terminal = _terminal_z(report, outcome)
-        if z_at_terminal is not None:
-            z_cells = [
-                repr(z) if math.isfinite(z) else "" for z in z_at_terminal.tolist()
-            ]
-        u_cells = [""] * report.ensemble
-        if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
-            u_cells = [repr(u) for u in report.u_hats.tolist()]
-        name = _csv_name(i, row.label)
-        path = out / name
-        with path.open("w") as fh:
+        name = _csv_name(i, outcome.prediction.label)
+        with (out / name).open("w") as fh:
             fh.write("trajectory_id,checkpoint_n,raw_value,normalized_value,z_value,U_hat\n")
-            inner = [",,"] * (len(cp_cells) - 1)
-            rows = zip(raw.tolist(), normalized.tolist())
-            for t, (raw_t, norm_t) in enumerate(rows):
-                ends = inner + [f",{z_cells[t]},{u_cells[t]}"]
-                fh.write(
-                    "".join(
-                        f"{t},{n},{x!r},{repr(y) if ok else ''}{end}\n"
-                        for n, x, y, ok, end in zip(cp_cells, raw_t, norm_t, shown, ends)
-                    )
-                )
+            fh.writelines(_sample_chunks(report, outcome, id_cells, cp_cells))
         written.append(name)
     return written
+
+
+def _sample_chunks(report: EnsembleReport, outcome, id_cells, cp_cells):
+    """Yield one prediction row's CSV lines, _CSV_CHUNK trajectories at a time."""
+    row = outcome.prediction
+    cps = report.checkpoints
+    raw = report.track_values[:, :, report.track_labels.index(row.label)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        norm = row.normalization.at(cps)
+        normalized = raw / norm[None, :]
+    norm_cells = _float_cells(normalized)
+    norm_cells[:, ~np.isfinite(norm)] = ""
+    z_cells = np.full(report.ensemble, "", dtype=object)
+    z_at_terminal = _terminal_z(report, outcome)
+    if z_at_terminal is not None:
+        z_cells = _float_cells(z_at_terminal)
+        z_cells[~np.isfinite(z_at_terminal)] = ""
+    u_cells = np.full(report.ensemble, "", dtype=object)
+    if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
+        u_cells = _float_cells(report.u_hats)
+    tails = np.full(id_cells.shape, ",\n", dtype=object)
+    tails[:, -1] = z_cells + "," + u_cells + "\n"
+    columns = (id_cells, cp_cells, _float_cells(raw), norm_cells, tails)
+    for lo in range(0, report.ensemble, _CSV_CHUNK):
+        chunk = [c[lo : lo + _CSV_CHUNK].ravel().tolist() for c in columns]
+        yield "".join(map(",".join, zip(*chunk)))
 
 
 def _terminal_z(report: EnsembleReport, outcome) -> np.ndarray | None:

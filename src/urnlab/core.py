@@ -32,6 +32,7 @@ bytes over the ensemble; neither bound changes a result.
 from __future__ import annotations
 
 import functools
+import gc
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -438,9 +439,19 @@ def simulate_many(
             tracks[:, i, :] = snapshot @ vt.T
 
     keys = _stream_keys(seed, stream_ids)
-    gens = [
-        trajectory_rng(seed, s, key=key) for s, key in zip(stream_ids.tolist(), keys)
-    ]
+    # The cyclic collector would rescan the growing list of generators many
+    # times over (about a third of the set-up at M = 1e5); it is paused for
+    # the build only, and re-enabled only if it was on.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gens = [
+            trajectory_rng(seed, s, key=key)
+            for s, key in zip(stream_ids.tolist(), keys)
+        ]
+    finally:
+        if collecting:
+            gc.enable()
     if 0 in cp_index:
         record(0)
     rows_t = np.ascontiguousarray(spec.matrix.T)

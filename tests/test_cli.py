@@ -1,10 +1,17 @@
 import hashlib
 import json
+import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from urnlab.cli import main
+from urnlab import LimitKind, classify, new_spec, predict
+from urnlab.cli import _float_cells, _terminal_z, _write_sample_csvs, main
+from urnlab.verify import U_FLOOR, EnsembleReport, PredictionOutcome
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -198,3 +205,130 @@ def test_cli_overrides_config(tmp_path):
     assert summary["ensemble"]["seed"] == 77
     assert summary["ensemble"]["horizon"] == 1200
     assert summary["ensemble"]["trajectories"] == 120
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "true", "1e999", "0", "-2"])
+def test_bad_variance_scale_exits_three(tmp_path, capsys, text):
+    cfg = dict(TWO, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg)[:-1] + f', "variance_scale": {text}}}')
+    assert main(["verify", "--config", str(path)]) == 3
+    assert (
+        "config.variance_scale: must be a positive finite number"
+        in capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    5e-324, -5e-324, 2.225073858507201e-308, 1.0, 1.0 + 2**-52, 1e16,
+]
+_FLOAT64 = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(_SPECIAL_FLOATS),
+    # Any bit pattern: NaNs with every payload and sign, subnormals.
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+)
+
+
+@given(
+    pool=st.lists(_FLOAT64, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 15), min_size=1, max_size=300),
+)
+@example(pool=[0.0], picks=[0, 1, 1, 0])
+@example(pool=[math.nan, math.inf, 5e-324], picks=[4, 0, 1, 2, 3, 5, 0])
+def test_float_cells_is_repr_of_every_value(pool, picks):
+    # Each value comes with its negation, so +-0.0 pairs are common.
+    pool = pool + [-x for x in pool]
+    values = np.array([pool[i % len(pool)] for i in picks])
+    expected = [repr(float(x)) for x in values.tolist()]
+    assert _float_cells(values).tolist() == expected
+    # A strided view and a 2-D array keep order and shape.
+    assert _float_cells(np.stack([values, values], axis=1)[:, 1]).tolist() == expected
+    assert _float_cells(values.reshape(1, -1)).tolist() == [expected]
+
+
+def _reference_csv(report, outcome):
+    """The line-by-line f-string formatter the sample CSVs were first
+    written with: one repr per float cell."""
+    row = outcome.prediction
+    cps = report.checkpoints
+    raw = report.track_values[:, :, report.track_labels.index(row.label)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        norm = row.normalization.at(cps)
+        normalized = raw / norm[None, :]
+    shown = np.isfinite(norm).tolist()
+    cp_cells = [str(int(n)) for n in cps]
+    z_cells = [""] * report.ensemble
+    z_at_terminal = _terminal_z(report, outcome)
+    if z_at_terminal is not None:
+        z_cells = [repr(z) if math.isfinite(z) else "" for z in z_at_terminal.tolist()]
+    u_cells = [""] * report.ensemble
+    if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
+        u_cells = [repr(u) for u in report.u_hats.tolist()]
+    text = "trajectory_id,checkpoint_n,raw_value,normalized_value,z_value,U_hat\n"
+    inner = [",,"] * (len(cp_cells) - 1)
+    for t, (raw_t, norm_t) in enumerate(zip(raw.tolist(), normalized.tolist())):
+        ends = inner + [f",{z_cells[t]},{u_cells[t]}"]
+        text += "".join(
+            f"{t},{n},{x!r},{repr(y) if ok else ''}{end}\n"
+            for n, x, y, ok, end in zip(cp_cells, raw_t, norm_t, shown, ends)
+        )
+    return text
+
+
+def _hand_built_report():
+    mix_rows = predict(classify(new_spec(
+        [[0.3125, 0.1875, 0.5], [0.1875, 0.3125, 0.5], [0.0, 0.0, 1.0]],
+        [0.25, 0.25, 0.5],
+    )))
+    two_rows = predict(classify(new_spec(TWO["replacement_matrix"], TWO["initial_composition"])))
+    normal_row = next(r for r in two_rows if r.limit_kind is LimitKind.NORMAL)
+    rows = (*mix_rows, normal_row)
+    mixture = next(r for r in mix_rows if r.limit_kind is LimitKind.NORMAL_MIXTURE)
+    checkpoints = np.array([0, 1, 3, 8])
+    ensemble = 4
+    values = np.array([0.25, -0.0, 0.0, 1.5, math.nan, -math.inf, 5e-324, 0.1 + 0.2])
+    track_values = np.random.default_rng(5).choice(
+        values, size=(ensemble, checkpoints.size, len(rows))
+    )
+    # Trajectory 1's U_hat is below U_FLOOR, so the mixture row drops it.
+    u_hats = np.array([2.5, U_FLOOR / 10, 2.5, 0.75])
+    z_by_label = {mixture.label: np.array([0.5, -0.0, math.nan]),
+                  normal_row.label: np.array([math.inf, 1.25, 1.25, -0.0])}
+    outcomes = tuple(
+        PredictionOutcome(
+            prediction=row,
+            raw_terminal=track_values[:, -1, j],
+            normalized_terminal=track_values[:, -1, j],
+            sample_mean=0.0,
+            sample_variance=0.0,
+            expected_mean=None,
+            mean_se=0.0,
+            z_sample=z_by_label.get(row.label),
+        )
+        for j, row in enumerate(rows)
+    )
+    return EnsembleReport(
+        klass=None, horizon=8, ensemble=ensemble, seed=0, variance_scale=1.0,
+        checkpoints=checkpoints, u_hats=u_hats, max_mass_drift=0.0,
+        outcomes=outcomes, track_values=track_values,
+        track_labels=tuple(r.label for r in rows),
+    ), mixture
+
+
+def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
+    report, mixture = _hand_built_report()
+    for chunk in (1, 3, 1024):
+        monkeypatch.setattr("urnlab.cli._CSV_CHUNK", chunk)
+        out = tmp_path / str(chunk)
+        out.mkdir()
+        names = _write_sample_csvs(report, out)
+        assert len(names) == len(report.outcomes)
+        for name, outcome in zip(names, report.outcomes):
+            assert (out / name).read_text() == _reference_csv(report, outcome)
+    mixture_csv = names[report.track_labels.index(mixture.label)]
+    lines = (out / mixture_csv).read_text().splitlines()
+    terminal = [line.split(",") for line in lines if line.startswith("1,8,")]
+    assert [cells[4:] for cells in terminal] == [["", "1e-13"]]

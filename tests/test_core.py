@@ -1,4 +1,5 @@
 import bisect
+import gc
 import hashlib
 import tracemalloc
 
@@ -449,3 +450,29 @@ def test_simulate_many_needs_no_seed_sequence(monkeypatch):
         trajectory_rng(3, 1)
     paths = simulate_many(spec, 50, 3, [1, 2**35])
     assert paths.states.tobytes() == expected.states.tobytes()
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_collector_paused_for_generator_build_only(monkeypatch, was_enabled):
+    spec = new_spec(*TWO)
+    original = core.trajectory_rng
+    seen = []
+
+    def watching_rng(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if len(seen) == 3:
+            raise RuntimeError("third stream fails")
+        return original(*args, **kwargs)
+
+    enabled = gc.isenabled()
+    try:
+        gc.enable() if was_enabled else gc.disable()
+        simulate_many(spec, 20, 3, 2)
+        assert gc.isenabled() is was_enabled
+        monkeypatch.setattr(core, "trajectory_rng", watching_rng)
+        with pytest.raises(RuntimeError, match="third stream fails"):
+            simulate_many(spec, 20, 3, 5)
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable() if enabled else gc.disable()
+    assert seen == [False, False, False]
