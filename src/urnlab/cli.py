@@ -25,7 +25,8 @@ Config schema (JSON object; unknown keys are rejected):
     predictions           "all" or a list of track labels
     output_dir            artifact directory (default "urnlab-out")
     max_draws             resource cap on horizon * ensemble (default 4e9)
-    variance_scale        multiplies predicted variances; diagnostic only
+    variance_scale        multiplies predicted variances; a positive finite
+                          number, diagnostic only
 
 Artifacts are deterministic: the same config writes byte-identical files
 (no timestamps or runtimes).
@@ -293,26 +294,24 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     time, so the text of one chunk and the cells of one file are all that is
     held.
     """
-    ids = np.array(list(map(str, range(report.ensemble))), dtype=object)
-    id_cells = np.broadcast_to(ids[:, None], (report.ensemble, report.checkpoints.size))
-    cp_cells = np.broadcast_to(
-        np.array([str(int(n)) for n in report.checkpoints], dtype=object), id_cells.shape
-    )
     written = []
     for i, outcome in enumerate(report.outcomes):
         name = _csv_name(i, outcome.prediction.label)
         with (out / name).open("w") as fh:
             fh.write("trajectory_id,checkpoint_n,raw_value,normalized_value,z_value,U_hat\n")
-            fh.writelines(_sample_chunks(report, outcome, id_cells, cp_cells))
+            fh.writelines(_sample_chunks(report, outcome))
         written.append(name)
     return written
 
 
-def _sample_chunks(report: EnsembleReport, outcome, id_cells, cp_cells):
+def _sample_chunks(report: EnsembleReport, outcome):
     """Yield one prediction row's CSV lines, _CSV_CHUNK trajectories at a time."""
     row = outcome.prediction
     cps = report.checkpoints
     raw = report.track_values[:, :, report.track_labels.index(row.label)]
+    ids = np.array(list(map(str, range(report.ensemble))), dtype=object)
+    id_cells = np.broadcast_to(ids[:, None], raw.shape)
+    cp_cells = np.broadcast_to(np.array([str(int(n)) for n in cps], dtype=object), raw.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
         norm = row.normalization.at(cps)
         normalized = raw / norm[None, :]
