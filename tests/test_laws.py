@@ -545,13 +545,175 @@ BRANCHES = {
 }
 
 
+# The remaining fields of every row above, which reach summary.json. Per row:
+# (vector, initial_value, martingale_eigenvalue, positive_limit,
+#  co_limit_label, mixing_label, limit_mean).
+PINNED_FIELDS = (
+    "vector", "initial_value", "martingale_eigenvalue", "positive_limit",
+    "co_limit_label", "mixing_label", "limit_mean",
+)
+PINNED = {
+    "identity": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.25, 1.0, True, None, None, 0.25),
+        ([0.0, 1.0, 0.0], 0.0, 1.0, False, None, None, 0.0),
+    ],
+    "two_zero": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, -1.0], -0.5, 0.0, False, None, None, -0.5),
+    ],
+    "two_below": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([0.7499999999999999, -1.0],
+         -5.551115123125783e-17, 0.2999999999999998, False, None, None, None),
+    ],
+    "two_negative": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, -0.7499999999999999],
+         0.12500000000000006, -0.3999999999999999, False, None, None, None),
+    ],
+    "two_half": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, -1.0], 0.0, 0.5, False, None, None, None),
+    ],
+    "two_above": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, -1.0], 0.0, 0.8, False, None, None, None),
+    ],
+    "two_triangular": [
+        ([1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0], 0.5, 0.5, True, None, None, None),
+    ],
+    "one_dom_zero": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0], 0.0, 0.0, False, None, None, 0.0),
+    ],
+    "one_dom_below": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0], 0.0, 0.125, False, None, "sub_total", None),
+    ],
+    "one_dom_half": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0], 0.0, 0.25, False, None, "sub_total", None),
+    ],
+    "one_dom_above": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0], 0.0, 0.4, False, None, None, None),
+    ],
+    "two_dom_zero": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([-0.0, 1.0, -1.0], 0.0, 0.0, False, None, None, 0.0),
+    ],
+    "two_dom_below": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([-0.0, 1.0, -1.0], 0.0, 0.25, False, None, None, None),
+    ],
+    "two_dom_negative": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([-0.0, 1.0, -1.0], 0.0, -0.5, False, None, None, None),
+    ],
+    "two_dom_half": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([0.0, 1.0, -1.0], 0.0, 0.5, False, None, None, None),
+    ],
+    "two_dom_above": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([0.0, 1.0, -1.0], 0.0, 0.75, False, None, None, None),
+    ],
+    "two_dom_periodic": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([-0.0, 1.0, -1.0], 0.0, -1.0, False, None, None, None),
+    ],
+    "three_jordan_below": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.4, True, None, None, None),
+        ([0.0, 2.083333333333333, -2.083333333333333],
+         0.0, None, False, None, None, None),
+    ],
+    "three_jordan_above": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([0.0, 2.5, -2.5], 0.0, None, True, "minor", None, None),
+    ],
+    "four_diag_zero": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.25, False, None, "sub_total", None),
+        ([-0.0, -0.0, 1.0, -1.0], 0.25, 0.0, False, None, None, 0.25),
+    ],
+    "four_diag_below": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.125, False, None, "sub_total", None),
+        ([-0.0, -0.0, 1.0, -1.0], 0.0, 0.25, False, None, None, None),
+    ],
+    "four_diag_half": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.4, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0],
+         0.0, 0.19999999999999993, False, None, "sub_total", None),
+        ([0.0, 0.0, 1.0, -1.0], 0.0, 0.5, False, None, None, None),
+    ],
+    "four_diag_above": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.375, False, None, None, None),
+        ([0.0, 0.0, 1.0, -1.0], 0.0, 0.75, False, None, None, None),
+    ],
+    "four_diag_periodic": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.25, False, None, "sub_total", None),
+        ([-0.0, -0.0, 1.0, -1.0], 0.0, -1.0, False, None, None, None),
+    ],
+    "four_jordan_zero": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.0, False, None, None, 0.0),
+        ([-0.0, -0.0, 4.0, -4.0], 0.0, None, False, None, "sub_total", None),
+    ],
+    "four_jordan_below": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.4, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0],
+         0.0, 0.19999999999999993, False, None, "sub_total", None),
+        ([4.999999999999997, -4.999999999999997, 5.0, -5.0],
+         0.0, None, False, None, None, None),
+    ],
+    "four_jordan_sub_total": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.25, False, None, "sub_total", None),
+        ([2.0000000000000004, -2.0000000000000004, 5.0, -5.0],
+         0.0, None, True, "sub_total", None, None),
+    ],
+    "four_jordan_sub_fluct": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([1.0, 1.0, 0.0, 0.0], 0.5, 0.7999999999999999, True, None, None, None),
+        ([1.0, -1.0, 0.0, 0.0], 0.0, 0.6, False, None, None, None),
+        ([5.0, 5.0, 20.0, -20.0], 2.5, None, False, "sub_fluct", None, None),
+    ],
+}
+
+
 @pytest.mark.parametrize("name", list(BRANCHES))
 def test_predict_pins_every_branch(name):
     matrix, initial, family, expected = BRANCHES[name]
     klass = classify(new_spec(matrix, initial))
     assert klass.family is family
+    rows = predict(klass)
     got = []
-    for r in predict(klass):
+    for r in rows:
         value = next(
             (v for v in (r.variance, r.mixture_coefficient, r.limit_variance)
              if v is not None),
@@ -564,3 +726,13 @@ def test_predict_pins_every_branch(name):
             assert value is None, label
         else:
             assert value == pytest.approx(want, rel=1e-12), label
+    assert len(rows) == len(PINNED[name])
+    for r, pinned in zip(rows, PINNED[name]):
+        for field, want in zip(PINNED_FIELDS, pinned):
+            value = getattr(r, field)
+            if field == "vector":
+                value = value.tolist()
+            if isinstance(want, (float, list)):
+                assert value == pytest.approx(want, rel=1e-12), (r.label, field)
+            else:
+                assert value == want, (r.label, field)
