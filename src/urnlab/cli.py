@@ -22,7 +22,7 @@ Config schema (JSON object; unknown keys are rejected):
     ensemble              number of trajectories (default 10000)
     seed                  RNG seed (default 12345)
     checkpoints           "geometric" or an increasing list ending at horizon
-    predictions           "all" or a list of track labels
+    predictions           "all" or a list of distinct track labels
     output_dir            artifact directory (default "urnlab-out")
     max_draws             resource cap on horizon * ensemble (default 4e9)
     variance_scale        multiplies predicted variances; a positive finite
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReplacementSpec, new_spec
+from .core import ReplacementSpec, _validated_checkpoints, new_spec
 from .laws import LawPrediction, LimitKind, pi_n, predict
 from .oracle import (
     MAX_ENUM_STEPS,
@@ -128,10 +128,6 @@ def _load_config(path: str) -> dict:
             raise ConfigError(
                 'config.checkpoints: must be "geometric" or a list of integers'
             )
-        if any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 0:
-            raise ConfigError("config.checkpoints: must be strictly increasing")
-        if cps[-1] != cfg["horizon"]:
-            raise ConfigError("config.checkpoints: last entry must equal the horizon")
     preds = cfg["predictions"]
     if preds != "all" and (
         not isinstance(preds, list) or any(not isinstance(v, str) for v in preds)
@@ -408,7 +404,6 @@ def _verdict_lines(verdict: ReportVerdict) -> list[str]:
         for check in row.checks:
             status = "PASS" if check.passed else "FAIL"
             lines.append(f"{status} {row.label} {check.name}: {check.detail}")
-    lines.append(f"OVERALL {'PASS' if verdict.passed else 'FAIL'}")
     return lines
 
 
@@ -497,19 +492,6 @@ def _summary_payload(
     return payload
 
 
-def _select_predictions(cfg: dict, rows: tuple[LawPrediction, ...]):
-    if cfg["predictions"] == "all":
-        return None
-    known = {r.label for r in rows}
-    for label in cfg["predictions"]:
-        if label not in known:
-            raise ConfigError(
-                f"config.predictions: unknown label {label!r}; "
-                f"available: {sorted(known)}"
-            )
-    return list(cfg["predictions"])
-
-
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="urnlab",
@@ -550,9 +532,21 @@ def _apply_overrides(cfg: dict, args) -> dict:
             if value < 0:
                 raise ConfigError(f"--{attr} must be nonnegative")
             cfg[key] = value
-    if cfg["checkpoints"] != "geometric" and cfg["checkpoints"][-1] != cfg["horizon"]:
-        raise ConfigError("config.checkpoints: last entry must equal the horizon")
     return cfg
+
+
+def _checkpoints(cfg: dict) -> list[int] | None:
+    """The effective config's checkpoint list, None for the geometric grid."""
+    cps = cfg["checkpoints"]
+    if cps == "geometric":
+        return None
+    try:
+        _validated_checkpoints(cps, cfg["horizon"])
+    except ValueError as exc:
+        raise ConfigError(f"config.checkpoints: {exc}") from exc
+    if cps[-1] != cfg["horizon"]:
+        raise ConfigError("config.checkpoints: last entry must equal the horizon")
+    return cps
 
 
 def _ensure_out(cfg: dict) -> Path:
@@ -585,6 +579,7 @@ def _write_summary(path: Path, payload: dict) -> None:
 
 def _dispatch(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
+    checkpoints = _checkpoints(cfg)
     spec = _build_spec(cfg)
     if args.command == "classify":
         try:
@@ -612,16 +607,15 @@ def _dispatch(args) -> int:
     if args.command == "all":
         oracle_lines, oracle_ok = _run_oracle_checks(spec, klass, rows)
 
-    selection = _select_predictions(cfg, rows)
     try:
         report = run_ensemble(
             spec,
-            klass,
-            predictions=selection,
+            rows,
+            predictions=None if cfg["predictions"] == "all" else cfg["predictions"],
             horizon=cfg["horizon"],
             ensemble=cfg["ensemble"],
             seed=cfg["seed"],
-            checkpoints=None if cfg["checkpoints"] == "geometric" else cfg["checkpoints"],
+            checkpoints=checkpoints,
             max_draws=cfg["max_draws"],
             variance_scale=cfg["variance_scale"],
         )
@@ -639,17 +633,11 @@ def _dispatch(args) -> int:
         report_lines += ["", "exact small-n checks:"] + oracle_lines
     _write_text(out / "report.txt", report_lines)
     samples = _write_sample_csvs(report, out)
+    passed = True
     if verdict is not None:
-        verdict_lines = _verdict_lines(verdict)
-        if oracle_lines is not None:
-            verdict_lines = (
-                [line for line in oracle_lines]
-                + verdict_lines[:-1]
-                + [
-                    "OVERALL "
-                    + ("PASS" if verdict.passed and oracle_ok else "FAIL")
-                ]
-            )
+        passed = verdict.passed and oracle_ok is not False
+        verdict_lines = (oracle_lines or []) + _verdict_lines(verdict)
+        verdict_lines.append(f"OVERALL {'PASS' if passed else 'FAIL'}")
         _write_text(out / "verdicts.txt", verdict_lines)
         for line in verdict_lines:
             print(line)
@@ -658,9 +646,6 @@ def _dispatch(args) -> int:
     )
     _write_summary(out / "summary.json", payload)
     print(f"artifacts written to {out}")
-    if args.command == "simulate":
-        return 0
-    passed = verdict.passed and (oracle_ok is not False)
     return 0 if passed else 1
 
 

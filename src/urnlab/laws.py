@@ -7,6 +7,15 @@ asymptotically normal (possibly with a random mixture variance), at it the
 same normal laws pick up a log factor, above it the scaled combination
 itself converges almost surely.
 
+predict() looks its rows up in a table keyed by family.  Every family gets
+the mass row, then the rows of its non-dominant part (a minor color's
+count, or a 2x2 sub-block's total and fluctuation), then the rows of its
+dominant block (a direct fluctuation track, or a generalized-eigenvector
+track when the dominant eigenvalue repeats one of the non-dominant part's).
+The two-color irreducible matrix is a dominant block alone, and the identity
+matrix gets one share row per color but the last.  Each row builder
+branches only on where its eigenvalue sits against 1/2.
+
 The product pi_n(a) = prod_{j<n} (1 + a/(j+1)) is the exact mean growth
 factor of any eigen-combination with eigenvalue a and doubles as the
 martingale normalization; pi_n(a) * Gamma(a+1) / n^a -> 1.
@@ -219,19 +228,44 @@ def _pi_weighted_square(pi: np.ndarray, xi: np.ndarray) -> float:
     return float(pi @ (np.asarray(xi) ** 2))
 
 
-def _direct_fluct_row(
+def _track(klass: StructureClass, label: str) -> tuple[np.ndarray, float]:
+    """The combination vector named label and its value at the start."""
+    vector = klass.vector(label)
+    return vector, float(klass.spec.initial @ vector)
+
+
+def _sign_free_row(
+    label: str, vector: np.ndarray, a: float, initial: float
+) -> LawPrediction:
+    """Eigen-combination with eigenvalue a above 1/2, normalized by n^a."""
+    return LawPrediction(
+        label=label,
+        vector=vector,
+        normalization=Normalization.power(a),
+        limit_kind=LimitKind.AS_RANDOM_VARIABLE,
+        initial_value=initial,
+        martingale_eigenvalue=a,
+        notes="power-normalized martingale track; the limit is non-degenerate "
+        "but its sign is not pinned",
+    )
+
+
+def _fluct_row(
+    klass: StructureClass,
     label: str,
-    vector: np.ndarray,
     lam: float,
-    pi2: float,
-    initial: float,
-    periodic_note: str = "",
+    stationary: np.ndarray,
+    eigvec: np.ndarray,
 ) -> LawPrediction:
     """Fluctuation track of an irreducible block at overall scale sqrt(n).
 
     lam below 1/2 is asymptotically normal, at 1/2 normal with a log
     correction, above 1/2 the power-normalized track converges on its own.
+    A block that alternates deterministically (lam = -1) has no limit law,
+    so its normal claim is marked unverified.
     """
+    vector, initial = _track(klass, label)
+    pi2 = _pi_weighted_square(stationary, eigvec)
     if abs(lam) <= ZERO_TOL:
         return _constant_row(label, vector, initial)
     if lam < 0.5 - REPEAT_TOL:
@@ -243,7 +277,9 @@ def _direct_fluct_row(
             variance=lam * lam / (1.0 - 2.0 * lam) * pi2,
             initial_value=initial,
             martingale_eigenvalue=lam,
-            notes=periodic_note,
+            notes="dominant block is periodic; this normal claim is unverified"
+            if lam <= -1.0 + REPEAT_TOL
+            else "",
         )
     if abs(lam - 0.5) <= REPEAT_TOL:
         return LawPrediction(
@@ -254,30 +290,16 @@ def _direct_fluct_row(
             variance=lam * lam * pi2,
             initial_value=initial,
             martingale_eigenvalue=lam,
-            notes=periodic_note,
         )
-    return LawPrediction(
-        label=label,
-        vector=vector,
-        normalization=Normalization.power(lam),
-        limit_kind=LimitKind.AS_RANDOM_VARIABLE,
-        initial_value=initial,
-        martingale_eigenvalue=lam,
-        notes="power-normalized martingale track; the limit is non-degenerate "
-        "but its sign is not pinned",
-    )
+    return _sign_free_row(label, vector, lam, initial)
 
 
-def _mixture_fluct_row(
-    label: str,
-    vector: np.ndarray,
-    s: float,
-    lam: float,
-    pi2: float,
-    initial: float,
-    mixing_label: str,
-) -> LawPrediction:
+def _sub_fluct_row(klass: StructureClass) -> LawPrediction:
     """Sub-block fluctuation track; variance mixes over the sub-mass limit."""
+    label = "sub_fluct"
+    vector, initial = _track(klass, label)
+    s, lam = klass.scale, klass.lam
+    pi2 = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
     if abs(lam) <= ZERO_TOL:
         return _constant_row(label, vector, initial)
     if lam < 0.5 - REPEAT_TOL:
@@ -287,7 +309,7 @@ def _mixture_fluct_row(
             normalization=Normalization.power(s / 2.0),
             limit_kind=LimitKind.NORMAL_MIXTURE,
             mixture_coefficient=s * lam * lam / (1.0 - 2.0 * lam) * pi2,
-            mixing_label=mixing_label,
+            mixing_label="sub_total",
             initial_value=initial,
             martingale_eigenvalue=s * lam,
             notes="normal with variance proportional to the sub-block mass limit",
@@ -299,26 +321,18 @@ def _mixture_fluct_row(
             normalization=Normalization.power_sqrt_log(s),
             limit_kind=LimitKind.NORMAL_MIXTURE,
             mixture_coefficient=s * s * lam * lam * pi2,
-            mixing_label=mixing_label,
+            mixing_label="sub_total",
             initial_value=initial,
             martingale_eigenvalue=s * lam,
             notes="normal with variance proportional to the sub-block mass limit",
         )
-    return LawPrediction(
-        label=label,
-        vector=vector,
-        normalization=Normalization.power(s * lam),
-        limit_kind=LimitKind.AS_RANDOM_VARIABLE,
-        initial_value=initial,
-        martingale_eigenvalue=s * lam,
-        notes="power-normalized martingale track; the limit is non-degenerate "
-        "but its sign is not pinned",
-    )
+    return _sign_free_row(label, vector, s * lam, initial)
 
 
-def _positive_as_row(
-    label: str, vector: np.ndarray, s: float, initial: float, what: str
-) -> LawPrediction:
+def _positive_row(klass: StructureClass, label: str, what: str) -> LawPrediction:
+    """Mass of the non-dominant part, which grows like n^s."""
+    vector, initial = _track(klass, label)
+    s = klass.scale
     return LawPrediction(
         label=label,
         vector=vector,
@@ -332,25 +346,69 @@ def _positive_as_row(
     )
 
 
-def _generalized_normal_row(
-    vector: np.ndarray, rate: float, pi2: float, initial: float
+def _generalized_row(
+    klass: StructureClass, earlier: list, rate: float, gap_note: str = ""
 ) -> LawPrediction:
-    """Generalized-eigenvector dom_fluct track with its eigenvalue below 1/2."""
+    """dom_fluct on the generalized eigenvector at the repeated eigenvalue rate.
+
+    Below 1/2 the track is still normal, its variance read off the vector's
+    dominant-block coordinates.  From 1/2 up it shares, slowed by a log
+    factor, the limit of the non-dominant row with the same eigenvalue.
+    """
+    label = "dom_fluct"
+    vector, initial = _track(klass, label)
+    if abs(rate) <= ZERO_TOL:
+        # Only the four-color beta = 0 case: R maps the vector onto the
+        # sub-block fluctuation vector.
+        return LawPrediction(
+            label=label,
+            vector=vector,
+            normalization=Normalization.power(klass.scale / 2.0),
+            limit_kind=LimitKind.NORMAL_MIXTURE,
+            mixture_coefficient=_pi_weighted_square(
+                klass.stationary_sub, klass.eigvec_lam
+            )
+            / klass.scale,
+            mixing_label="sub_total",
+            initial_value=initial,
+            notes="replacement maps this track's vector onto the "
+            "sub-block fluctuation vector; normal with variance "
+            "proportional to the sub-block mass limit",
+        )
+    if rate < 0.5 - REPEAT_TOL:
+        pinned = vector[list(klass.permutation)][-2:]
+        pi2 = _pi_weighted_square(klass.stationary_dom, pinned)
+        return LawPrediction(
+            label=label,
+            vector=vector,
+            normalization=Normalization.power(0.5),
+            limit_kind=LimitKind.NORMAL,
+            variance=rate * rate / (1.0 - 2.0 * rate) * pi2,
+            initial_value=initial,
+            notes="generalized-eigenvector track at the repeated "
+            "eigenvalue, still normal below the 1/2 threshold",
+        )
+    co = next(
+        row
+        for row in earlier[1:]
+        if row.martingale_eigenvalue is not None
+        and abs(row.martingale_eigenvalue - rate) <= REPEAT_TOL
+    )
     return LawPrediction(
-        label="dom_fluct",
+        label=label,
         vector=vector,
-        normalization=Normalization.power(0.5),
-        limit_kind=LimitKind.NORMAL,
-        variance=rate * rate / (1.0 - 2.0 * rate) * pi2,
+        normalization=Normalization.power_log(rate),
+        limit_kind=LimitKind.AS_RANDOM_VARIABLE,
         initial_value=initial,
-        notes="generalized-eigenvector track at the repeated "
-        "eigenvalue, still normal below the 1/2 threshold",
+        positive_limit=co.positive_limit,
+        co_limit_label=co.label,
+        notes=f"log-slowed track sharing the {co.label} track's limit{gap_note}",
     )
 
 
-def _identity_rows(klass: StructureClass) -> list[LawPrediction]:
+def _identity_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
     spec = klass.spec
-    rows = [_mass_row(spec)]
+    rows = []
     for label, vector, _ in klass.vectors[1:]:
         share = float(spec.initial @ vector)
         if share <= 0.0:
@@ -386,169 +444,63 @@ def _identity_rows(klass: StructureClass) -> list[LawPrediction]:
     return rows
 
 
+def _minor_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
+    return [_positive_row(klass, "minor", "the minor color's count")]
+
+
+def _sub_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
+    return [
+        _positive_row(klass, "sub_total", "the non-dominant block's mass"),
+        _sub_fluct_row(klass),
+    ]
+
+
+# The rows after the mass row, per family: the non-dominant part first, then
+# the dominant block.  A builder takes the class and the rows built so far.
+_PARTS = {
+    Family.IDENTITY: (_identity_rows,),
+    Family.TWO_IRREDUCIBLE: (
+        lambda k, earlier: [
+            _fluct_row(k, "fluct", k.lam, k.stationary_whole, k.eigvec_lam)
+        ],
+    ),
+    Family.TWO_TRIANGULAR: (_minor_rows,),
+    Family.THREE_ONE_DOMINANT: (_sub_rows,),
+    Family.THREE_TWO_DOMINANT_DIAG: (
+        _minor_rows,
+        lambda k, earlier: [
+            _fluct_row(k, "dom_fluct", k.lam, k.stationary_dom, k.eigvec_lam)
+        ],
+    ),
+    Family.THREE_TWO_DOMINANT_JORDAN: (
+        _minor_rows,
+        lambda k, earlier: [
+            _generalized_row(
+                k, earlier, k.scale,
+                "; the gap between the two closes like 1/log n",
+            )
+        ],
+    ),
+    Family.FOUR_BLOCK_DIAG: (
+        _sub_rows,
+        lambda k, earlier: [
+            _fluct_row(k, "dom_fluct", k.beta, k.stationary_dom, k.eigvec_beta)
+        ],
+    ),
+    Family.FOUR_BLOCK_JORDAN: (
+        _sub_rows,
+        lambda k, earlier: [_generalized_row(k, earlier, k.beta)],
+    ),
+}
+
+
 def predict(klass: StructureClass) -> list[LawPrediction]:
     """Exactly K predictions, one per combination vector, spanning R^K."""
     if klass.family is Family.UNSUPPORTED:
         raise ValueError("no predictions for an unsupported class")
-    spec = klass.spec
-    initial = {label: float(spec.initial @ vec) for label, vec, _ in klass.vectors}
-    vec = {label: v for label, v, _ in klass.vectors}
-    fam = klass.family
-    # Set by the two-dominant classifiers when the dominant block alternates.
-    periodic = any("alternates" in w for w in klass.warnings)
-    note = (
-        "dominant block is periodic; this normal claim is unverified"
-        if periodic
-        else ""
-    )
-
-    if fam is Family.IDENTITY:
-        rows = _identity_rows(klass)
-    elif fam is Family.TWO_IRREDUCIBLE:
-        pi2 = _pi_weighted_square(klass.stationary_whole, klass.eigvec_lam)
-        rows = [
-            _mass_row(spec),
-            _direct_fluct_row(
-                "fluct", vec["fluct"], klass.lam, pi2, initial["fluct"]
-            ),
-        ]
-    elif fam is Family.TWO_TRIANGULAR:
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "minor", vec["minor"], klass.scale, initial["minor"],
-                "the minor color's count",
-            ),
-        ]
-    elif fam is Family.THREE_ONE_DOMINANT:
-        pi2 = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "sub_total", vec["sub_total"], klass.scale,
-                initial["sub_total"], "the non-dominant block's mass",
-            ),
-            _mixture_fluct_row(
-                "sub_fluct", vec["sub_fluct"], klass.scale, klass.lam, pi2,
-                initial["sub_fluct"], "sub_total",
-            ),
-        ]
-    elif fam is Family.THREE_TWO_DOMINANT_DIAG:
-        pi2 = _pi_weighted_square(klass.stationary_dom, klass.eigvec_lam)
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "minor", vec["minor"], klass.scale, initial["minor"],
-                "the minor color's count",
-            ),
-            _direct_fluct_row(
-                "dom_fluct", vec["dom_fluct"], klass.lam, pi2,
-                initial["dom_fluct"], note,
-            ),
-        ]
-    elif fam is Family.THREE_TWO_DOMINANT_JORDAN:
-        s = klass.scale
-        t2 = vec["dom_fluct"]
-        xi_pinned = t2[list(klass.permutation)][1:]
-        pi2 = _pi_weighted_square(klass.stationary_dom, xi_pinned)
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "minor", vec["minor"], s, initial["minor"],
-                "the minor color's count",
-            ),
-        ]
-        if s < 0.5 - REPEAT_TOL:
-            rows.append(_generalized_normal_row(t2, s, pi2, initial["dom_fluct"]))
-        else:
-            rows.append(
-                LawPrediction(
-                    label="dom_fluct",
-                    vector=t2,
-                    normalization=Normalization.power_log(s),
-                    limit_kind=LimitKind.AS_RANDOM_VARIABLE,
-                    initial_value=initial["dom_fluct"],
-                    positive_limit=True,
-                    co_limit_label="minor",
-                    notes="log-slowed track sharing the minor track's limit; "
-                    "the gap between the two closes like 1/log n",
-                )
-            )
-    elif fam is Family.FOUR_BLOCK_DIAG:
-        pi2_sub = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
-        pi2_dom = _pi_weighted_square(klass.stationary_dom, klass.eigvec_beta)
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "sub_total", vec["sub_total"], klass.scale,
-                initial["sub_total"], "the non-dominant block's mass",
-            ),
-            _mixture_fluct_row(
-                "sub_fluct", vec["sub_fluct"], klass.scale, klass.lam,
-                pi2_sub, initial["sub_fluct"], "sub_total",
-            ),
-            _direct_fluct_row(
-                "dom_fluct", vec["dom_fluct"], klass.beta, pi2_dom,
-                initial["dom_fluct"], note,
-            ),
-        ]
-    elif fam is Family.FOUR_BLOCK_JORDAN:
-        s, lam, beta = klass.scale, klass.lam, klass.beta
-        pi2_sub = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
-        t3 = vec["dom_fluct"]
-        nu_pinned = t3[list(klass.permutation)][2:]
-        pi2_dom = _pi_weighted_square(klass.stationary_dom, nu_pinned)
-        rows = [
-            _mass_row(spec),
-            _positive_as_row(
-                "sub_total", vec["sub_total"], s, initial["sub_total"],
-                "the non-dominant block's mass",
-            ),
-            _mixture_fluct_row(
-                "sub_fluct", vec["sub_fluct"], s, lam, pi2_sub,
-                initial["sub_fluct"], "sub_total",
-            ),
-        ]
-        if abs(beta) <= ZERO_TOL:
-            xi = klass.eigvec_lam
-            rows.append(
-                LawPrediction(
-                    label="dom_fluct",
-                    vector=t3,
-                    normalization=Normalization.power(s / 2.0),
-                    limit_kind=LimitKind.NORMAL_MIXTURE,
-                    mixture_coefficient=_pi_weighted_square(
-                        klass.stationary_sub, xi
-                    )
-                    / s,
-                    mixing_label="sub_total",
-                    initial_value=initial["dom_fluct"],
-                    notes="replacement maps this track's vector onto the "
-                    "sub-block fluctuation vector; normal with variance "
-                    "proportional to the sub-block mass limit",
-                )
-            )
-        elif beta < 0.5 - REPEAT_TOL:
-            rows.append(
-                _generalized_normal_row(t3, beta, pi2_dom, initial["dom_fluct"])
-            )
-        else:
-            co = "sub_total" if abs(beta - s) <= REPEAT_TOL else "sub_fluct"
-            rows.append(
-                LawPrediction(
-                    label="dom_fluct",
-                    vector=t3,
-                    normalization=Normalization.power_log(beta),
-                    limit_kind=LimitKind.AS_RANDOM_VARIABLE,
-                    initial_value=initial["dom_fluct"],
-                    positive_limit=(co == "sub_total"),
-                    co_limit_label=co,
-                    notes=f"log-slowed track sharing the {co} track's limit",
-                )
-            )
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled family {fam!r}")
-
+    rows = [_mass_row(klass.spec)]
+    for part in _PARTS[klass.family]:
+        rows += part(klass, rows)
     matrix = np.column_stack([row.vector for row in rows])
     if abs(np.linalg.det(matrix)) <= 1e-10:
         raise RuntimeError("internal: prediction vectors do not span R^K")

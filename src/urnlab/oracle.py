@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ReplacementSpec
-from .laws import pi_n, predict
+from .laws import pi_n
 from .spectral import EIG_TOL, Family, StructureClass
 
 __all__ = [
@@ -155,18 +155,14 @@ def exact_conditional_variance_check(
 ) -> float:
     """Max deviation in the one-step second-moment identity, all eigen tracks.
 
-    For every prediction row carrying a martingale eigenvalue, both sides of
-    the conditional-variance identity are evaluated on every enumerated
+    For every eigen-combination of klass.vectors, both sides of the
+    conditional-variance identity are evaluated on every enumerated
     composition at levels 0..n-1; the largest absolute gap is returned.
     Generalized-eigenvector tracks have no such identity and are skipped
     (compensated_martingale_check covers them).
     """
     n = _guard(spec, n, MAX_ENUM_STEPS)
-    tracks = [
-        (row.vector, row.martingale_eigenvalue)
-        for row in predict(klass)
-        if row.martingale_eigenvalue is not None
-    ]
+    tracks = [(v, a) for _, v, a in klass.vectors if a is not None]
     if not tracks:
         raise ValueError("class has no pure eigen-combination tracks")
     pis = {(a, k): pi_n(a, k) for _, a in tracks for k in range(n + 1)}

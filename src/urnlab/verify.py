@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReplacementSpec, _validated_checkpoints, simulate_many
-from .laws import LawPrediction, LimitKind, pi_n, predict
-from .spectral import StructureClass
+from .laws import LawPrediction, LimitKind, pi_n
 
 __all__ = [
     "DEFAULT_MAX_DRAWS",
@@ -135,7 +134,6 @@ class PredictionOutcome:
     dropped: int = 0
     ks_stat: float | None = None
     ks_pvalue: float | None = None
-    tail_fluctuations: np.ndarray | None = None
     median_tail_fluctuation: float | None = None
     median_terminal_abs: float | None = None
     all_positive: bool | None = None
@@ -152,7 +150,6 @@ class EnsembleReport:
     writers can reproduce any per-checkpoint view without re-simulating.
     """
 
-    klass: StructureClass
     horizon: int
     ensemble: int
     seed: int
@@ -173,7 +170,11 @@ def _row_labels(predictions, all_rows) -> list[str]:
     for item in predictions:
         label = item if isinstance(item, str) else item.label
         if label not in known:
-            raise ValueError(f"unknown prediction label {label!r}")
+            raise ValueError(
+                f"unknown prediction label {label!r}; available: {sorted(known)}"
+            )
+        if label in labels:
+            raise ValueError(f"prediction label {label!r} is selected twice")
         labels.append(label)
     if not labels:
         raise ValueError("no predictions selected")
@@ -182,7 +183,7 @@ def _row_labels(predictions, all_rows) -> list[str]:
 
 def run_ensemble(
     spec: ReplacementSpec,
-    klass: StructureClass,
+    rows: list[LawPrediction],
     predictions=None,
     horizon: int = 100_000,
     ensemble: int = 10_000,
@@ -194,10 +195,11 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Simulate an ensemble and measure every selected predicted track.
 
-    predictions selects tracks by label (or LawPrediction); None takes all.
-    All K tracks are recorded regardless, because mixture studentization
-    and co-limit gaps read sibling tracks.  Identical inputs give an
-    identical report.
+    rows is spec's prediction table, predict(classify(spec)).  predictions
+    selects tracks by label (or LawPrediction), each at most once; None
+    takes all.  All K tracks are recorded regardless, because mixture
+    studentization and co-limit gaps read sibling tracks.  Identical inputs
+    give an identical report.
     """
     horizon = int(horizon)
     ensemble = int(ensemble)
@@ -213,25 +215,24 @@ def run_ensemble(
     cps = _validated_checkpoints(checkpoints, horizon)
     if cps[-1] != horizon:
         raise ValueError("checkpoint grid must end at the horizon")
-    all_rows = predict(klass)
-    labels = _row_labels(predictions, all_rows)
+    labels = _row_labels(predictions, rows)
     paths = simulate_many(
         spec,
         horizon,
         seed,
         ensemble,
         checkpoints=cps,
-        track_vectors=[r.vector for r in all_rows],
+        track_vectors=[r.vector for r in rows],
     )
     cps = paths.checkpoints
     totals = paths.states.sum(axis=2)
     max_mass_drift = float(np.abs(totals - (cps + 1.0)[None, :]).max())
 
-    index = {r.label: i for i, r in enumerate(all_rows)}
+    index = {r.label: i for i, r in enumerate(rows)}
     u_hats = None
-    for row in all_rows:
+    for row in rows:
         if row.limit_kind is LimitKind.NORMAL_MIXTURE:
-            mix = all_rows[index[row.mixing_label]]
+            mix = rows[index[row.mixing_label]]
             u_hats = (
                 paths.tracks[:, -1, index[mix.label]]
                 / mix.normalization.at(int(cps[-1]))
@@ -241,7 +242,7 @@ def run_ensemble(
     outcomes = []
     for label in labels:
         idx = index[label]
-        row = all_rows[idx]
+        row = rows[idx]
         raw_terminal = paths.tracks[:, -1, idx].copy()
         norm_terminal = row.normalization.at(int(cps[-1]))
         normalized = raw_terminal / norm_terminal
@@ -275,13 +276,12 @@ def run_ensemble(
             region = (cps >= horizon / 4) & (cps < horizon)
             if region.any():
                 fluct = np.abs(tracks_norm[:, region] - terminal[:, None]).max(axis=1)
-                fields["tail_fluctuations"] = fluct
                 fields["median_tail_fluctuation"] = float(np.median(fluct))
             fields["median_terminal_abs"] = float(np.median(np.abs(terminal)))
             if row.positive_limit:
                 fields["all_positive"] = bool((raw_terminal > 0.0).all())
             if row.co_limit_label is not None:
-                co = all_rows[index[row.co_limit_label]]
+                co = rows[index[row.co_limit_label]]
                 with np.errstate(invalid="ignore", divide="ignore"):
                     co_norm = co.normalization.at(cps)
                     co_tracks = (
@@ -317,7 +317,6 @@ def run_ensemble(
             )
         )
     return EnsembleReport(
-        klass=klass,
         horizon=horizon,
         ensemble=ensemble,
         seed=seed,
@@ -327,7 +326,7 @@ def run_ensemble(
         max_mass_drift=max_mass_drift,
         outcomes=tuple(outcomes),
         track_values=paths.tracks,
-        track_labels=tuple(r.label for r in all_rows),
+        track_labels=tuple(r.label for r in rows),
     )
 
 

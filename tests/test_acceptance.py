@@ -128,7 +128,7 @@ def test_criterion_04_two_color_clt():
     """Two-color fluctuation track is standard normal after sqrt(n) scaling."""
     spec = ul.new_spec([[0.7, 0.3], [0.4, 0.6]], [4 / 7, 3 / 7])
     klass = ul.classify(spec)
-    report = ul.run_ensemble(spec, klass, horizon=10**5, ensemble=10**4, seed=20240902)
+    report = ul.run_ensemble(spec, ul.predict(klass), horizon=10**5, ensemble=10**4, seed=20240902)
     fluct = _outcome(report, "fluct")
     assert abs(fluct.prediction.variance - 0.16875) < 1e-12
     d, _ = fluct.ks_stat, fluct.ks_pvalue
@@ -142,7 +142,7 @@ def test_criterion_05_mixture_studentization():
         [0.175, 0.175, 0.65],
     )
     klass = ul.classify(spec)
-    report = ul.run_ensemble(spec, klass, horizon=10**5, ensemble=10**4, seed=20240905)
+    report = ul.run_ensemble(spec, ul.predict(klass), horizon=10**5, ensemble=10**4, seed=20240905)
     sub = _outcome(report, "sub_fluct")
     d_per = sub.ks_stat
     cv = report.u_hats.std(ddof=1) / report.u_hats.mean()
@@ -162,7 +162,7 @@ def test_criterion_06_four_color_jordan_mixture():
     """Four-color generalized track studentizes to standard normal."""
     spec = ul.new_spec(*FAMILY_SPECS["four_block_jordan"])
     klass = ul.classify(spec)
-    report = ul.run_ensemble(spec, klass, horizon=10**5, ensemble=10**4, seed=20240906)
+    report = ul.run_ensemble(spec, ul.predict(klass), horizon=10**5, ensemble=10**4, seed=20240906)
     dom = _outcome(report, "dom_fluct")
     assert abs(dom.prediction.mixture_coefficient - 2.0) < 1e-9
     d = dom.ks_stat
@@ -185,7 +185,7 @@ def test_criterion_07_almost_sure_limits():
     for name, matrix, initial, seed in cases:
         spec = ul.new_spec(matrix, initial)
         klass = ul.classify(spec)
-        report = ul.run_ensemble(spec, klass, horizon=10**6, ensemble=10**3, seed=seed)
+        report = ul.run_ensemble(spec, ul.predict(klass), horizon=10**6, ensemble=10**3, seed=seed)
         measured = 0
         for o in report.outcomes:
             if o.median_tail_fluctuation is None:
@@ -217,7 +217,7 @@ def test_criterion_08_exactly_constant_tracks():
         spec = ul.new_spec(matrix, initial)
         klass = ul.classify(spec)
         report = ul.run_ensemble(
-            spec, klass, horizon=1000, ensemble=100, seed=20240912 + i
+            spec, ul.predict(klass), horizon=1000, ensemble=100, seed=20240912 + i
         )
         devs = [
             o.constant_deviation
@@ -238,7 +238,7 @@ def test_criterion_09_identity_limit_moments():
     """Identity replacement: share of color 0 has the arcsine-law moments."""
     spec = ul.new_spec([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     klass = ul.classify(spec)
-    report = ul.run_ensemble(spec, klass, horizon=10**5, ensemble=10**4, seed=20240909)
+    report = ul.run_ensemble(spec, ul.predict(klass), horizon=10**5, ensemble=10**4, seed=20240909)
     share = _outcome(report, "share_0").normalized_terminal
     se = share.std(ddof=1) / np.sqrt(share.size)
     mean_err = abs(share.mean() - 0.5)
@@ -257,7 +257,7 @@ def test_criterion_10_jordan_colimit_trend():
     klass = ul.classify(spec)
     report = ul.run_ensemble(
         spec,
-        klass,
+        ul.predict(klass),
         horizon=10**6,
         ensemble=1024,
         seed=20240910,

@@ -181,7 +181,7 @@ def test_wrong_variance_negative_control_exits_one(tmp_path):
     assert run(tmp_path, "verify", bad) == 1
 
 
-def test_prediction_selection(tmp_path):
+def test_prediction_selection(tmp_path, capsys):
     cfg = dict(TWO)
     cfg["predictions"] = ["fluct"]
     assert run(tmp_path, "simulate", cfg) == 0
@@ -190,6 +190,12 @@ def test_prediction_selection(tmp_path):
     assert not any("mass" in n for n in names if n.endswith(".csv"))
     cfg["predictions"] = ["bogus"]
     assert run(tmp_path, "simulate", cfg) == 3
+    assert "available: ['fluct', 'mass']" in capsys.readouterr().err
+    cfg["predictions"] = ["fluct", "fluct"]
+    cfg["output_dir"] = str(tmp_path / "twice")
+    assert run(tmp_path, "verify", cfg) == 3
+    assert "'fluct' is selected twice" in capsys.readouterr().err
+    assert not (tmp_path / "twice").exists()
 
 
 def test_checkpoint_list_must_reach_horizon(tmp_path, capsys):
@@ -197,6 +203,19 @@ def test_checkpoint_list_must_reach_horizon(tmp_path, capsys):
     cfg["checkpoints"] = [0, 100, 700]
     assert run(tmp_path, "verify", cfg) == 3
     assert "horizon" in capsys.readouterr().err
+
+
+def test_checkpoints_checked_after_overrides(tmp_path, capsys):
+    cfg = dict(TWO, horizon=1000, checkpoints=[0, 100, 1500])
+    assert run(tmp_path, "verify", cfg, horizon=1500) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ensemble"]["checkpoints"] == [0, 100, 1500]
+    cfg = dict(TWO, checkpoints=[0, 100, 1500])
+    assert run(tmp_path, "verify", cfg, horizon=1000) == 3
+    assert "config.checkpoints: checkpoints must lie within" in capsys.readouterr().err
+    cfg = dict(TWO, checkpoints=[0, 100, 100, 1500])
+    assert run(tmp_path, "verify", cfg) == 3
+    assert "config.checkpoints: checkpoints must be strictly" in capsys.readouterr().err
 
 
 def test_cli_overrides_config(tmp_path):
@@ -311,7 +330,7 @@ def _hand_built_report():
         for j, row in enumerate(rows)
     )
     return EnsembleReport(
-        klass=None, horizon=8, ensemble=ensemble, seed=0, variance_scale=1.0,
+        horizon=8, ensemble=ensemble, seed=0, variance_scale=1.0,
         checkpoints=checkpoints, u_hats=u_hats, max_mass_drift=0.0,
         outcomes=outcomes, track_values=track_values,
         track_labels=tuple(r.label for r in rows),

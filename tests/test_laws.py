@@ -435,6 +435,16 @@ BRANCHES = {
             ("dom_fluct", K.NORMAL, "n^0.5", GENERALIZED, 3.472222222222223),
         ],
     ),
+    # The branch above with its colors relabeled: the variance must not
+    # change, and the dominant coordinates are read through the permutation.
+    "three_jordan_below_relabeled": (
+        [[0.7, 0, 0.3], [0.06, 0.4, 0.54], [0.3, 0, 0.7]], [0.25, 0.5, 0.25],
+        Family.THREE_TWO_DOMINANT_JORDAN, [
+            MASS_ROW,
+            ("minor", K.AS_RANDOM_VARIABLE, "n^0.4", MINOR.format("0.4"), None),
+            ("dom_fluct", K.NORMAL, "n^0.5", GENERALIZED, 3.472222222222223),
+        ],
+    ),
     "three_jordan_above": (
         [[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]], [0.5, 0.25, 0.25],
         Family.THREE_TWO_DOMINANT_JORDAN, [
@@ -512,6 +522,17 @@ BRANCHES = {
     "four_jordan_below": (
         [[0.3, 0.1, 0.5, 0.1], [0.1, 0.3, 0.3, 0.3],
          [0, 0, 0.7, 0.3], [0, 0, 0.3, 0.7]],
+        U4, Family.FOUR_BLOCK_JORDAN, [
+            MASS_ROW,
+            ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.4", SUB_MASS.format("0.4"), None),
+            ("sub_fluct", K.NORMAL_MIXTURE, "sqrt(n^0.4 log n)", MIXED,
+             0.039999999999999966),
+            ("dom_fluct", K.NORMAL, "n^0.5", GENERALIZED, 19.99999999999997),
+        ],
+    ),
+    "four_jordan_below_relabeled": (
+        [[0.7, 0.3, 0, 0], [0.3, 0.7, 0, 0],
+         [0.5, 0.1, 0.3, 0.1], [0.3, 0.3, 0.1, 0.3]],
         U4, Family.FOUR_BLOCK_JORDAN, [
             MASS_ROW,
             ("sub_total", K.AS_RANDOM_VARIABLE, "n^0.4", SUB_MASS.format("0.4"), None),
@@ -640,6 +661,12 @@ PINNED = {
         ([0.0, 2.083333333333333, -2.083333333333333],
          0.0, None, False, None, None, None),
     ],
+    "three_jordan_below_relabeled": [
+        ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([0.0, 1.0, 0.0], 0.5, 0.4, True, None, None, None),
+        ([-2.083333333333333, 0.0, 2.083333333333333],
+         0.0, None, False, None, None, None),
+    ],
     "three_jordan_above": [
         ([1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
         ([1.0, 0.0, 0.0], 0.5, 0.5, True, None, None, None),
@@ -688,6 +715,13 @@ PINNED = {
         ([1.0, -1.0, 0.0, 0.0],
          0.0, 0.19999999999999993, False, None, "sub_total", None),
         ([4.999999999999997, -4.999999999999997, 5.0, -5.0],
+         0.0, None, False, None, None, None),
+    ],
+    "four_jordan_below_relabeled": [
+        ([1.0, 1.0, 1.0, 1.0], 1.0, 1.0, True, None, None, 1.0),
+        ([0.0, 0.0, 1.0, 1.0], 0.5, 0.4, True, None, None, None),
+        ([0.0, 0.0, 1.0, -1.0], 0.0, 0.19999999999999993, False, None, "sub_total", None),
+        ([5.0, -5.0, 4.999999999999997, -4.999999999999997],
          0.0, None, False, None, None, None),
     ],
     "four_jordan_sub_total": [

@@ -71,52 +71,57 @@ def test_studentize_rejects_constant_tracks():
 
 
 def test_estimate_u_positive_and_matches_track():
-    rep = run_ensemble(MIX, classify(MIX), horizon=2000, ensemble=100, seed=3)
+    rep = run_ensemble(MIX, predict(classify(MIX)), horizon=2000, ensemble=100, seed=3)
     sub_total = rep.track_values[:, -1, rep.track_labels.index("sub_total")]
     assert rep.u_hats == pytest.approx(sub_total / 2000**0.5)
     assert (rep.u_hats > 0).all()
-    two = run_ensemble(TWO, classify(TWO), horizon=1000, ensemble=100, seed=1)
+    two = run_ensemble(TWO, predict(classify(TWO)), horizon=1000, ensemble=100, seed=1)
     assert two.u_hats is None
 
 
 def test_run_ensemble_is_deterministic():
     k = classify(TWO)
-    a = run_ensemble(TWO, k, horizon=1000, ensemble=100, seed=5)
-    b = run_ensemble(TWO, k, horizon=1000, ensemble=100, seed=5)
+    a = run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, seed=5)
+    b = run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, seed=5)
     assert a.outcomes[1].raw_terminal.tolist() == b.outcomes[1].raw_terminal.tolist()
     assert a.outcomes[1].ks_stat == b.outcomes[1].ks_stat
-    c = run_ensemble(TWO, k, horizon=1000, ensemble=100, seed=6)
+    c = run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, seed=6)
     assert a.outcomes[1].raw_terminal.tolist() != c.outcomes[1].raw_terminal.tolist()
 
 
 def test_run_ensemble_guards():
     k = classify(TWO)
     with pytest.raises(ValueError, match="horizon"):
-        run_ensemble(TWO, k, horizon=10, ensemble=100)
+        run_ensemble(TWO, predict(k), horizon=10, ensemble=100)
     with pytest.raises(ValueError, match="ensemble"):
-        run_ensemble(TWO, k, horizon=1000, ensemble=5)
+        run_ensemble(TWO, predict(k), horizon=1000, ensemble=5)
     with pytest.raises(ValueError, match="resource cap"):
-        run_ensemble(TWO, k, horizon=10**6, ensemble=10**6)
+        run_ensemble(TWO, predict(k), horizon=10**6, ensemble=10**6)
     with pytest.raises(ValueError, match="end at the horizon"):
-        run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=[0, 500])
+        run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, checkpoints=[0, 500])
     with pytest.raises(ValueError, match="unknown prediction"):
-        run_ensemble(TWO, k, predictions=["nope"], horizon=1000, ensemble=100)
+        run_ensemble(TWO, predict(k), predictions=["nope"], horizon=1000, ensemble=100)
+    with pytest.raises(ValueError, match=r"available: \['fluct', 'mass'\]"):
+        run_ensemble(TWO, predict(k), predictions=["nope"], horizon=1000, ensemble=100)
+    with pytest.raises(ValueError, match="'fluct' is selected twice"):
+        run_ensemble(TWO, predict(k), predictions=["fluct", "fluct"], horizon=1000,
+                     ensemble=100)
 
 
 def test_run_ensemble_rejects_bad_checkpoint_grids():
     k = classify(TWO)
     for bad in ([], 5, [[0, 1000]]):
         with pytest.raises(ValueError, match="checkpoints"):
-            run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=bad)
+            run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, checkpoints=bad)
     # Non-integral entries are named, not truncated.
     for bad in ([0, 2.5, 1000], [0, True, 1000], np.array([0, 3.9, 1000])):
         with pytest.raises(ValueError, match=r"checkpoints\[1\] is not an integer"):
-            run_ensemble(TWO, k, horizon=1000, ensemble=100, checkpoints=bad)
+            run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, checkpoints=bad)
 
 
 def test_run_ensemble_selection_by_label():
     k = classify(TWO)
-    rep = run_ensemble(TWO, k, predictions=["fluct"], horizon=1000, ensemble=100,
+    rep = run_ensemble(TWO, predict(k), predictions=["fluct"], horizon=1000, ensemble=100,
                        seed=2)
     assert [o.prediction.label for o in rep.outcomes] == ["fluct"]
     # sibling tracks are still recorded for studentization and gap checks
@@ -125,7 +130,7 @@ def test_run_ensemble_selection_by_label():
 
 def test_evaluate_report_passes_well_specified_model():
     k = classify(TWO)
-    rep = run_ensemble(TWO, k, horizon=4000, ensemble=600, seed=8)
+    rep = run_ensemble(TWO, predict(k), horizon=4000, ensemble=600, seed=8)
     verdict = evaluate_report(rep)
     assert verdict.passed
     names = {c.name for row in verdict.rows for c in row.checks}
@@ -134,7 +139,7 @@ def test_evaluate_report_passes_well_specified_model():
 
 def test_evaluate_report_rejects_wrong_variance():
     k = classify(TWO)
-    rep = run_ensemble(TWO, k, horizon=4000, ensemble=600, seed=8,
+    rep = run_ensemble(TWO, predict(k), horizon=4000, ensemble=600, seed=8,
                        variance_scale=4.0)
     verdict = evaluate_report(rep)
     assert not verdict.passed
@@ -147,7 +152,7 @@ def test_evaluate_report_rejects_pooled_mixture_studentization():
     # dividing by the ensemble-mean U instead of each trajectory's own
     # estimate must fail whenever U genuinely varies
     k = classify(MIX)
-    rep = run_ensemble(MIX, k, horizon=4000, ensemble=600, seed=8)
+    rep = run_ensemble(MIX, predict(k), horizon=4000, ensemble=600, seed=8)
     sub = [o for o in rep.outcomes if o.prediction.label == "sub_fluct"][0]
     pooled = sub.normalized_terminal / np.sqrt(
         sub.prediction.mixture_coefficient * rep.u_hats.mean()
@@ -160,6 +165,6 @@ def test_evaluate_report_rejects_pooled_mixture_studentization():
 
 def test_policy_thresholds_shape_verdicts():
     k = classify(TWO)
-    rep = run_ensemble(TWO, k, horizon=4000, ensemble=600, seed=8)
+    rep = run_ensemble(TWO, predict(k), horizon=4000, ensemble=600, seed=8)
     tight = VerdictPolicy(ks_normal_coeff=0.001)
     assert not evaluate_report(rep, tight).passed
