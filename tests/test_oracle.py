@@ -1,9 +1,18 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
+import oracle_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import FAMILY_SPECS
+from test_laws import BRANCHES
 
 from urnlab import (
+    Family,
+    StructureClass,
     classify,
     compensated_martingale_check,
     exact_conditional_variance_check,
@@ -14,6 +23,7 @@ from urnlab import (
     pi_n,
     predict,
 )
+from urnlab.oracle import MAX_ENUM_STEPS
 
 TRI = new_spec([[0.5, 0.5], [0.0, 1.0]], [0.5, 0.5])
 J3 = new_spec([[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]],
@@ -223,6 +233,15 @@ def test_compensated_check_has_teeth_on_non_degenerate_jordan_at_cap():
     assert gap > 1e-4
 
 
+@pytest.mark.parametrize("spec", [J3, J4_BETA_HALF], ids=["j3", "j4_beta_half"])
+def test_compensated_check_witness_at_enumeration_cap(spec):
+    klass = classify(spec)
+    assert compensated_martingale_check(spec, klass, MAX_ENUM_STEPS) < 1e-12
+    wrong = _scaled_generalized_basis(klass, 1.005)
+    gap = compensated_martingale_check(spec, klass, MAX_ENUM_STEPS, basis_matrix=wrong)
+    assert gap > 1e-9
+
+
 @pytest.mark.parametrize(
     "basis",
     [np.eye(3), np.eye(4)[:, :3], np.full((4, 4), np.nan), np.diag([1.0, 1.0, 1.0, np.inf])],
@@ -230,3 +249,162 @@ def test_compensated_check_has_teeth_on_non_degenerate_jordan_at_cap():
 def test_compensated_check_rejects_bad_basis_matrix(basis):
     with pytest.raises(ValueError, match=r"basis_matrix must be a finite \(4, 4\)"):
         compensated_martingale_check(J4_BETA0, classify(J4_BETA0), 3, basis_matrix=basis)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ("two_color", "three_color_mixture", "four_color_jordan")
+
+
+def _pinned_specs():
+    """(name, spec) for every predict() branch, every family and every config."""
+    for name, (matrix, initial, *_) in BRANCHES.items():
+        yield f"branch:{name}", new_spec(matrix, initial)
+    for name, (matrix, initial) in FAMILY_SPECS.items():
+        yield f"family:{name}", new_spec(matrix, initial)
+    for name in CONFIGS:
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        yield f"config:{name}", new_spec(
+            cfg["replacement_matrix"], cfg["initial_composition"]
+        )
+
+
+def _hex(value) -> str:
+    return float(value).hex()
+
+
+def _pinned(call) -> str:
+    """float.hex of a check's result, or the name of the error it raises."""
+    try:
+        return _hex(call())
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def _oracle_outputs():
+    """Lines of float.hex text per public oracle output, keyed by output."""
+    out = {key: [] for key in PINNED_DIGESTS}
+    for name, spec in _pinned_specs():
+        klass = classify(spec)
+        for n in (8, MAX_ENUM_STEPS):
+            out[f"atoms_{n}"].append(name + " " + " ".join(
+                ",".join(map(_hex, (*atom.counts, atom.probability)))
+                for atom in exact_distribution(spec, n)
+            ))
+        out["mean_vector"].append(
+            name + " " + ",".join(map(_hex, exact_mean_vector(spec, MAX_ENUM_STEPS)))
+        )
+        for row in predict(klass):
+            a = row.martingale_eigenvalue
+            if a is not None:
+                out["mean_linear"].append(f"{name} {row.label} " + _pinned(
+                    lambda: exact_mean_linear(spec, row.vector, a, MAX_ENUM_STEPS)
+                ))
+        out["conditional_variance"].append(name + " " + _pinned(
+            lambda: exact_conditional_variance_check(spec, klass, MAX_ENUM_STEPS)
+        ))
+        if klass.family in (Family.THREE_TWO_DOMINANT_JORDAN, Family.FOUR_BLOCK_JORDAN):
+            for key, basis in (
+                ("compensated", None),
+                ("compensated_scaled", _scaled_generalized_basis(klass, 1.01)),
+            ):
+                out[key].append(name + " " + _hex(compensated_martingale_check(
+                    spec, klass, MAX_ENUM_STEPS, basis_matrix=basis
+                )))
+    return out
+
+
+# sha256 of the lines above, recorded before enumeration levels became whole
+# arrays; any change in any bit of any output changes one of them.
+PINNED_DIGESTS = {
+    "atoms_8": (
+        "e14e74b7a75a074df1827ec0286e8971"
+        "f0fc7b133a30c167598ee0cf7dd06324"
+    ),
+    "atoms_12": (
+        "cdcc738e43023115a7f9f41b0306a489"
+        "7341ba09e9e6d64f81f7cc4632de1815"
+    ),
+    "mean_vector": (
+        "cce79554e3af10f7a4138e35efd9cc93"
+        "b049d071109e83a24913f58a6c2d33d9"
+    ),
+    "mean_linear": (
+        "bb50b9fe31ed1478bad70b8782148430"
+        "02f4c187d4383cb74b1a6b5f42c91b24"
+    ),
+    "conditional_variance": (
+        "1595e8a6082d8e4e75a8ff642079ff18"
+        "49ee49ae3b9564594b64dcd918dbe618"
+    ),
+    "compensated": (
+        "beaf12a0ce4821b6df418c41a5fbc523"
+        "4e82a7b9075de89a31a52f44db52481f"
+    ),
+    "compensated_scaled": (
+        "c63154e2e8aee5e093614aa836ed29a3"
+        "d3a032fa8023e7d48c561cdfbb6e51e7"
+    ),
+}
+
+
+def test_oracle_outputs_are_pinned_bit_for_bit():
+    digests = {
+        key: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for key, lines in _oracle_outputs().items()
+    }
+    assert digests == PINNED_DIGESTS
+
+
+@st.composite
+def _sparse_urns(draw):
+    """A balanced K = 2..4 urn with zero entries in its rows and its start."""
+    k = draw(st.integers(2, 4))
+    weights = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)
+    rows = [draw(weights) for _ in range(k)]
+    start = draw(weights)
+    return new_spec(
+        [[w / sum(row) for w in row] for row in rows],
+        [w / sum(start) for w in start],
+    )
+
+
+def _bits(values) -> list[str]:
+    return [_hex(x) for x in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_sparse_urns(), n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_oracle_matches_per_atom_reference_bit_for_bit(spec, n, seed):
+    k = spec.colors
+    atoms = exact_distribution(spec, n)
+    assert [_bits((*a.counts, a.probability)) for a in atoms] == [
+        _bits((*counts, prob)) for counts, prob in ref.distribution(spec, n)
+    ]
+    values, vectors = np.linalg.eig(spec.matrix)
+    for i in np.flatnonzero(np.abs(values.imag) < 1e-12):
+        # a strided view, as eigenvectors often are
+        v, a = vectors[:, i].real, float(values[i].real)
+        assert _hex(exact_mean_linear(spec, v, a, n)) == _hex(ref.mean_linear(spec, v, n))
+    # Random tracks and a random basis break both identities, so every
+    # residual below is large and carries all of its bits.
+    rng = np.random.default_rng(seed)
+    basis = rng.uniform(-2.0, 2.0, (k, k))
+    eigs = rng.uniform(-0.9, 1.5, k)
+    top = int(rng.integers(k - 1))
+    jordan = np.diag(eigs)
+    jordan[top, top + 1] = 1.0
+    klass = StructureClass(
+        family=Family.FOUR_BLOCK_JORDAN,
+        spec=spec,
+        permutation=tuple(range(k)),
+        jordan_basis_matrix=basis,
+        jordan_form=jordan,
+        vectors=tuple((f"v{i}", basis[:, i], float(eigs[i])) for i in range(k)),
+    )
+    tracks = [(basis[:, i], float(eigs[i])) for i in range(k)]
+    assert _hex(exact_conditional_variance_check(spec, klass, n)) == _hex(
+        ref.conditional_variance(spec, tracks, n)
+    )
+    assert _hex(compensated_martingale_check(spec, klass, n)) == _hex(
+        ref.compensated(spec, basis[:, top + 1], basis[:, top], eigs[top + 1], n)
+    )
