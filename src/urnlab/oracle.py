@@ -2,8 +2,9 @@
 
 Everything here is computed without simulation: the outcome tree of the
 first n draws is enumerated level by level, pooling paths that reach the
-same composition, so expectations are exact up to float rounding.  This is the independent reference the statistical layer and the
-test suite compare against.
+same composition, so expectations are exact up to float rounding.  This is
+the independent reference the statistical layer and the test suite compare
+against.
 
 Two martingale identities are checked.  For an eigen-combination v with
 R v = a v, the scaled track Z_k = (C_k . v) / pi_k(a) satisfies
@@ -21,6 +22,25 @@ is a martingale.  Its compensation sum depends on the whole path, but it
 cancels in X_{m+1} - X_m, and the new term (C_m . t_top)/((m+1) pi_{m+1}(a))
 depends on C_m alone.  So the one-step residual is a function of the current
 composition, and that check runs on merged compositions too.
+
+A level is one (A, K) array of compositions and one (A,) array of
+probabilities.  Its children form one (A, K, K) array, their probabilities
+one product, and each check evaluates the whole level in numpy calls.  Only
+the pooling of children keeps a dict pass per level, because first-seen
+order fixes the order of the atoms.  Every result is bit-equal to the
+one-atom-at-a-time evaluation kept in the tests, by these rules:
+
+- elementwise expressions keep their order of operations, such as
+  (prob * counts) / total and counts / total * dz * dz;
+- each composition . vector product is one BLAS dot per row (_dot); a
+  matrix-vector product or einsum sums in another order;
+- a scalar x ** 2 is libm pow, so its array form is np.float_power, not
+  ** 2, which multiplies;
+- sums over colours and over atoms add left to right (cumsum), with a
+  dead colour adding +0.0; np.sum is pairwise beyond seven terms;
+- np.bincount over first-seen ids adds a pooled atom's probabilities in
+  the order its paths were seen;
+- the worst residual skips NaN, as max() does.
 """
 from __future__ import annotations
 
@@ -30,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ReplacementSpec
+from .core import ReplacementSpec, _integer
 from .laws import pi_n
 from .spectral import EIG_TOL, Family, StructureClass
 
@@ -60,7 +80,7 @@ class OutcomeAtom:
 
 
 def _guard(spec: ReplacementSpec, n: int, cap: int) -> int:
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > cap:
@@ -73,30 +93,67 @@ def _guard(spec: ReplacementSpec, n: int, cap: int) -> int:
     return n
 
 
-def _levels(spec: ReplacementSpec, n: int) -> Iterator[list[tuple[np.ndarray, float]]]:
-    """Yield merged (composition, probability) atoms for levels 0..n."""
-    rows = spec.matrix
-    level: dict[tuple, tuple[np.ndarray, float]] = {
-        tuple(np.round(spec.initial, _MERGE_DECIMALS)): (spec.initial.copy(), 1.0)
-    }
-    yield list(level.values())
+def _dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x @ v over the last axis of x, one BLAS dot per row.
+
+    Bit-equal to the 1-D product row by row; x @ v on a 2-D x (gemv) and
+    einsum sum in other orders.
+    """
+    return np.matmul(x[..., None, :], v[:, None])[..., 0, 0]
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right, as a loop from 0.0 adds.
+
+    The final + 0.0 stands in for the loop's 0.0 start; it matters only
+    when every term is -0.0.
+    """
+    return terms.cumsum(axis=-1)[..., -1] + 0.0
+
+
+def _worst(worst: float, deviations: np.ndarray) -> float:
+    """max(worst, each deviation in turn), skipping NaN as max() does."""
+    return float(np.fmax.reduce(deviations, initial=worst))
+
+
+def _levels(spec: ReplacementSpec, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield merged levels 0..n as (A, K) compositions and (A,) probabilities.
+
+    A composition with a positive count of a colour has a child for it.
+    Children whose compositions agree to 12 decimals are pooled: the first
+    one seen, atom by atom and colour by colour, keeps its composition and
+    its place, and the probabilities are added in the order seen.
+    """
+    counts = spec.initial[None, :].copy()
+    probs = np.ones(1)
+    yield counts, probs
     for _ in range(n):
-        nxt: dict[tuple, tuple[np.ndarray, float]] = {}
-        for counts, prob in level.values():
-            total = counts.sum()
-            children = counts + rows
-            keys = np.round(children, _MERGE_DECIMALS).tolist()
-            for color in range(spec.colors):
-                if counts[color] <= 0.0:
-                    continue
-                key = tuple(keys[color])
-                p = prob * counts[color] / total
-                if key in nxt:
-                    nxt[key] = (nxt[key][0], nxt[key][1] + p)
-                else:
-                    nxt[key] = (children[color], p)
-        level = nxt
-        yield list(level.values())
+        live = counts > 0.0
+        children = (counts[:, None, :] + spec.matrix)[live]
+        weights = ((probs[:, None] * counts) / counts.sum(axis=1)[:, None])[live]
+        first_seen: dict[tuple, int] = {}
+        ids = np.array([
+            first_seen.setdefault(key, len(first_seen))
+            for key in map(tuple, np.round(children, _MERGE_DECIMALS).tolist())
+        ])
+        _, first = np.unique(ids, return_index=True)
+        counts = children[first]
+        probs = np.bincount(ids, weights=weights)
+        yield counts, probs
+
+
+def _steps(
+    spec: ReplacementSpec, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (counts, live, share, children) for levels 0..n-1.
+
+    live marks the colours each composition can draw, share is each
+    colour's draw probability counts / total, and children is the (A, K, K)
+    array of compositions after each draw.
+    """
+    for counts, _ in islice(_levels(spec, n), n):
+        share = counts / counts.sum(axis=1)[:, None]
+        yield counts, counts > 0.0, share, counts[:, None, :] + spec.matrix
 
 
 def exact_distribution(spec: ReplacementSpec, n: int) -> list[OutcomeAtom]:
@@ -107,12 +164,9 @@ def exact_distribution(spec: ReplacementSpec, n: int) -> list[OutcomeAtom]:
     exponential.  Sorted by composition for determinism.
     """
     n = _guard(spec, n, MAX_ENUM_STEPS)
-    for level in _levels(spec, n):
-        final = level
-    atoms = [
-        OutcomeAtom(tuple(float(x) for x in counts), float(prob))
-        for counts, prob in final
-    ]
+    for counts, probs in _levels(spec, n):
+        pass
+    atoms = list(map(OutcomeAtom, map(tuple, counts.tolist()), probs.tolist()))
     atoms.sort(key=lambda atom: atom.counts)
     return atoms
 
@@ -122,7 +176,7 @@ def exact_mean_vector(spec: ReplacementSpec, n: int) -> np.ndarray:
 
     Linear in n, so usable far beyond the enumeration cap.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     mu = spec.initial.copy()
@@ -147,7 +201,9 @@ def exact_mean_linear(spec: ReplacementSpec, vector, eigenvalue: float, n: int) 
             f"(vector, eigenvalue) is not an eigenpair (residual {residual!r})"
         )
     atoms = exact_distribution(spec, n)
-    return float(sum(atom.probability * (np.array(atom.counts) @ v) for atom in atoms))
+    counts = np.array([atom.counts for atom in atoms])
+    probs = np.array([atom.probability for atom in atoms])
+    return float(_sum_in_order(probs * _dot(counts, v)))
 
 
 def exact_conditional_variance_check(
@@ -166,29 +222,23 @@ def exact_conditional_variance_check(
     if not tracks:
         raise ValueError("class has no pure eigen-combination tracks")
     pis = {(a, k): pi_n(a, k) for _, a in tracks for k in range(n + 1)}
-    rows = spec.matrix
     worst = 0.0
-    for k, level in enumerate(islice(_levels(spec, n), n)):
-        for counts, _ in level:
-            total = counts.sum()
-            for v, a in tracks:
-                cv = counts @ v
-                cv2 = counts @ (v * v)
-                z_now = cv / pis[(a, k)]
-                lhs = 0.0
-                for color in range(spec.colors):
-                    if counts[color] <= 0.0:
-                        continue
-                    child = counts + rows[color]
-                    dz = (child @ v) / pis[(a, k + 1)] - z_now
-                    lhs += counts[color] / total * dz * dz
-                rhs = (
-                    a
-                    * a
-                    / pis[(a, k + 1)] ** 2
-                    * (cv2 / (k + 1.0) - (cv / (k + 1.0)) ** 2)
-                )
-                worst = max(worst, abs(lhs - rhs))
+    for k, (counts, live, share, children) in enumerate(_steps(spec, n)):
+        for v, a in tracks:
+            cv = _dot(counts, v)
+            cv2 = _dot(counts, v * v)
+            z_now = cv / pis[(a, k)]
+            dz = _dot(children, v) / pis[(a, k + 1)] - z_now[:, None]
+            lhs = _sum_in_order(np.where(live, share * dz * dz, 0.0))
+            # float_power is libm pow, as the scalar ** it replaces; an
+            # array ** 2 multiplies, which can differ in the last bit.
+            rhs = (
+                a
+                * a
+                / pis[(a, k + 1)] ** 2
+                * (cv2 / (k + 1.0) - np.float_power(cv / (k + 1.0), 2))
+            )
+            worst = _worst(worst, np.abs(lhs - rhs))
     return worst
 
 
@@ -235,18 +285,11 @@ def compensated_martingale_check(
     t_top = t[:, off[0]]
     a = float(j[gen_col, gen_col])
     pis = [pi_n(a, k) for k in range(n + 1)]
-    rows = spec.matrix
     worst = 0.0
-    for m, level in enumerate(islice(_levels(spec, n), n)):
-        for counts, _ in level:
-            total = counts.sum()
-            x_now = counts @ t_gen / pis[m]
-            inc = (counts @ t_top) / ((m + 1.0) * pis[m + 1])
-            expect = 0.0
-            for color in range(spec.colors):
-                if counts[color] <= 0.0:
-                    continue
-                child = counts + rows[color]
-                expect += counts[color] / total * (child @ t_gen / pis[m + 1] - inc)
-            worst = max(worst, abs(expect - x_now))
+    for m, (counts, live, share, children) in enumerate(_steps(spec, n)):
+        x_now = _dot(counts, t_gen) / pis[m]
+        inc = _dot(counts, t_top) / ((m + 1.0) * pis[m + 1])
+        gain = _dot(children, t_gen) / pis[m + 1] - inc[:, None]
+        expect = _sum_in_order(np.where(live, share * gain, 0.0))
+        worst = _worst(worst, np.abs(expect - x_now))
     return worst

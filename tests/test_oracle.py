@@ -177,6 +177,27 @@ def test_enumeration_step_guards():
         compensated_martingale_check(j3, classify(j3), 13)
 
 
+@pytest.mark.parametrize("n", [2.7, 2.9, True, False, np.bool_(True), "3"])
+def test_fractional_or_bool_n_is_rejected(n):
+    klass = classify(J3)
+    calls = [
+        lambda: exact_distribution(J3, n),
+        lambda: exact_mean_vector(J3, n),
+        lambda: exact_mean_linear(J3, np.ones(3), 1.0, n),
+        lambda: exact_conditional_variance_check(J3, klass, n),
+        lambda: compensated_martingale_check(J3, klass, n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n is not an integer"):
+            call()
+
+
+def test_integral_n_of_any_number_type_is_accepted():
+    for n in (3.0, np.int64(3), np.float64(3.0)):
+        assert exact_distribution(J3, n) == exact_distribution(J3, 3)
+        np.testing.assert_array_equal(exact_mean_vector(J3, n), exact_mean_vector(J3, 3))
+
+
 def _scaled_generalized_basis(klass, factor):
     """Jordan basis with the generalized-eigenvector column scaled."""
     j = klass.jordan_form
