@@ -40,7 +40,7 @@ one-atom-at-a-time evaluation kept in the tests, by these rules:
   dead colour adding +0.0; np.sum is pairwise beyond seven terms;
 - np.bincount over first-seen ids adds a pooled atom's probabilities in
   the order its paths were seen;
-- the worst residual skips NaN, as max() does.
+- the worst residual skips NaN, as max() does (np.fmax).
 """
 from __future__ import annotations
 
@@ -111,11 +111,6 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return terms.cumsum(axis=-1)[..., -1] + 0.0
 
 
-def _worst(worst: float, deviations: np.ndarray) -> float:
-    """max(worst, each deviation in turn), skipping NaN as max() does."""
-    return float(np.fmax.reduce(deviations, initial=worst))
-
-
 def _levels(spec: ReplacementSpec, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield merged levels 0..n as (A, K) compositions and (A,) probabilities.
 
@@ -131,14 +126,17 @@ def _levels(spec: ReplacementSpec, n: int) -> Iterator[tuple[np.ndarray, np.ndar
         live = counts > 0.0
         children = (counts[:, None, :] + spec.matrix)[live]
         weights = ((probs[:, None] * counts) / counts.sum(axis=1)[:, None])[live]
+        # Each child maps to the index of the first child with its key.
         first_seen: dict[tuple, int] = {}
-        ids = np.array([
-            first_seen.setdefault(key, len(first_seen))
-            for key in map(tuple, np.round(children, _MERGE_DECIMALS).tolist())
+        owner = np.array([
+            first_seen.setdefault(key, i)
+            for i, key in enumerate(
+                map(tuple, np.round(children, _MERGE_DECIMALS).tolist())
+            )
         ])
-        _, first = np.unique(ids, return_index=True)
+        first = np.fromiter(first_seen.values(), dtype=np.intp, count=len(first_seen))
         counts = children[first]
-        probs = np.bincount(ids, weights=weights)
+        probs = np.bincount(owner, weights=weights)[first]
         yield counts, probs
 
 
@@ -238,7 +236,7 @@ def exact_conditional_variance_check(
                 / pis[(a, k + 1)] ** 2
                 * (cv2 / (k + 1.0) - np.float_power(cv / (k + 1.0), 2))
             )
-            worst = _worst(worst, np.abs(lhs - rhs))
+            worst = float(np.fmax.reduce(np.abs(lhs - rhs), initial=worst))
     return worst
 
 
@@ -291,5 +289,5 @@ def compensated_martingale_check(
         inc = _dot(counts, t_top) / ((m + 1.0) * pis[m + 1])
         gain = _dot(children, t_gen) / pis[m + 1] - inc[:, None]
         expect = _sum_in_order(np.where(live, share * gain, 0.0))
-        worst = _worst(worst, np.abs(expect - x_now))
+        worst = float(np.fmax.reduce(np.abs(expect - x_now), initial=worst))
     return worst

@@ -429,3 +429,21 @@ def test_oracle_matches_per_atom_reference_bit_for_bit(spec, n, seed):
     assert _hex(compensated_martingale_check(spec, klass, n)) == _hex(
         ref.compensated(spec, basis[:, top + 1], basis[:, top], eigs[top + 1], n)
     )
+
+
+@pytest.mark.parametrize(
+    "x", ["0x1.e598602cea4a1p-1", "0x1.28e8d26eab98ap+1", "0x1.48d34abf950f7p+1"]
+)
+def test_squared_mean_rounds_as_the_reference_does(x):
+    # From C_0 = (1, 0) under the identity urn the one-step gap of the track
+    # v = (x, 0) is 0, so the residual is only (C_0 . v)^2 computed two ways:
+    # x * x against x ** 2.  Here libm's pow rounds these x differently from
+    # a multiply, and the check must round as the scalar code did.
+    spec = new_spec([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    v = np.array([float.fromhex(x), 0.0])
+    klass = StructureClass(
+        family=Family.IDENTITY, spec=spec, permutation=(0, 1), vectors=(("v", v, 1.0),)
+    )
+    assert _hex(exact_conditional_variance_check(spec, klass, 1)) == _hex(
+        ref.conditional_variance(spec, [(v, 1.0)], 1)
+    )
