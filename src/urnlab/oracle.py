@@ -37,9 +37,9 @@ one-atom-at-a-time evaluation kept in the tests, by these rules:
 - a scalar x ** 2 is libm pow, so its array form is np.float_power, not
   ** 2, which multiplies;
 - sums over colours and over atoms add left to right (cumsum), with a
-  dead colour adding +0.0; np.sum is pairwise beyond seven terms;
-- np.bincount over first-seen ids adds a pooled atom's probabilities in
-  the order its paths were seen;
+  dead colour adding +0.0; np.sum may add pairwise;
+- np.bincount adds a pooled atom's probabilities in the order its
+  children were seen;
 - the worst residual skips NaN, as max() does (np.fmax).
 """
 from __future__ import annotations
