@@ -265,30 +265,42 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
+def _float_formatter(values):
+    """A function from any part of a float64 array to its cells, an object
+    array of repr(float(x)) for every x of the part, of the part's shape.
+
+    repr runs once per distinct bit pattern of the whole array: np.unique
+    works on the int64 view, so -0.0 stays apart from 0.0, and NaNs and
+    infinities keep their own cells.  A part's patterns are looked up with
+    np.searchsorted among the sorted distinct ones, so only the cells of
+    the part are built.
+    """
+    patterns = np.unique(np.asarray(values, dtype=np.float64).view(np.int64))
+    strings = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+
+    def cells(part) -> np.ndarray:
+        bits = np.asarray(part, dtype=np.float64).view(np.int64)
+        return strings[np.searchsorted(patterns, bits)]
+
+    return cells
+
+
 def _float_cells(values) -> np.ndarray:
     """repr(float(x)) for every x of a float64 array, as an object array of
-    the same shape.
-
-    repr runs once per distinct bit pattern: np.unique works on the int64
-    view, so -0.0 stays apart from 0.0, and NaNs and infinities keep their
-    own cells.  The strings go back into place through the inverse index.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    patterns, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    cells = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
-    return cells[inverse].reshape(values.shape)
+    the same shape, through _float_formatter."""
+    return _float_formatter(values)(values)
 
 
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     """One CSV per prediction row: a line per (trajectory, checkpoint).
 
-    Float cells hold repr of the Python float, formatted by _float_cells;
+    Float cells hold repr of the Python float, formatted by _float_formatter;
     normalized_value is empty where the normalization is not finite, and
     z_value (empty when not finite) and U_hat are filled on the terminal
-    checkpoint line only.  Each column is an (ensemble, checkpoint) object
-    array of cells; lines are joined in C over _CSV_CHUNK trajectories at a
-    time, so the text of one chunk and the cells of one file are all that is
-    held.
+    checkpoint line only.  Cells and lines are built over _CSV_CHUNK
+    trajectories at a time, the lines joined in C, so of the text and cells
+    only one chunk's, each column's distinct strings and the per-trajectory
+    z_value and U_hat cells are held.
     """
     written = []
     for i, outcome in enumerate(report.outcomes):
@@ -301,18 +313,20 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
 
 
 def _sample_chunks(report: EnsembleReport, outcome):
-    """Yield one prediction row's CSV lines, _CSV_CHUNK trajectories at a time."""
+    """Yield one prediction row's CSV lines, _CSV_CHUNK trajectories at a time.
+
+    The cells of the (ensemble, checkpoint) columns are built per chunk too,
+    so no whole column of cells is ever held.
+    """
     row = outcome.prediction
     cps = report.checkpoints
     raw = report.track_values[:, :, report.track_labels.index(row.label)]
-    ids = np.array(list(map(str, range(report.ensemble))), dtype=object)
-    id_cells = np.broadcast_to(ids[:, None], raw.shape)
-    cp_cells = np.broadcast_to(np.array([str(int(n)) for n in cps], dtype=object), raw.shape)
+    cp_cells = np.array([str(int(n)) for n in cps], dtype=object)
     with np.errstate(invalid="ignore", divide="ignore"):
         norm = row.normalization.at(cps)
         normalized = raw / norm[None, :]
-    norm_cells = _float_cells(normalized)
-    norm_cells[:, ~np.isfinite(norm)] = ""
+    blank_norm = ~np.isfinite(norm)
+    format_raw, format_normalized = _float_formatter(raw), _float_formatter(normalized)
     z_cells = np.full(report.ensemble, "", dtype=object)
     z_at_terminal = _terminal_z(report, outcome)
     if z_at_terminal is not None:
@@ -321,12 +335,23 @@ def _sample_chunks(report: EnsembleReport, outcome):
     u_cells = np.full(report.ensemble, "", dtype=object)
     if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
         u_cells = _float_cells(report.u_hats)
-    tails = np.full(id_cells.shape, ",\n", dtype=object)
-    tails[:, -1] = z_cells + "," + u_cells + "\n"
-    columns = (id_cells, cp_cells, _float_cells(raw), norm_cells, tails)
+    last_tails = z_cells + "," + u_cells + "\n"
     for lo in range(0, report.ensemble, _CSV_CHUNK):
-        chunk = [c[lo : lo + _CSV_CHUNK].ravel().tolist() for c in columns]
-        yield "".join(map(",".join, zip(*chunk)))
+        hi = min(lo + _CSV_CHUNK, report.ensemble)
+        shape = (hi - lo, cps.size)
+        ids = np.array(list(map(str, range(lo, hi))), dtype=object)
+        norm_cells = format_normalized(normalized[lo:hi])
+        norm_cells[:, blank_norm] = ""
+        tails = np.full(shape, ",\n", dtype=object)
+        tails[:, -1] = last_tails[lo:hi]
+        columns = (
+            np.broadcast_to(ids[:, None], shape),
+            np.broadcast_to(cp_cells, shape),
+            format_raw(raw[lo:hi]),
+            norm_cells,
+            tails,
+        )
+        yield "".join(map(",".join, zip(*(c.ravel().tolist() for c in columns))))
 
 
 def _terminal_z(report: EnsembleReport, outcome) -> np.ndarray | None:

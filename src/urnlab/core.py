@@ -25,9 +25,15 @@ K-1 vector adds in colour order, so every rounding step matches
 np.cumsum(counts) and color_from_uniform.  The drawn colours become a one-hot
 (K, M) matrix, and one matrix product with the transposed replacement matrix
 yields the drawn rows; every product in it is R * 0 = +0.0 or R * 1 = R, so
-the rows come out exact.  Uniform variates are generated per trajectory in
-blocks of at most DEFAULT_BATCH_STEPS steps and at most UNIFORM_BLOCK_BYTES
-bytes over the ensemble; neither bound changes a result.
+the rows come out exact.
+
+An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
+the whole horizon with only its own generators alive, so the generators
+held do not grow with the ensemble.  Uniform variates are generated per
+trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
+UNIFORM_BLOCK_BYTES bytes over a pass.  No bound changes a result: a
+trajectory's state is its stream key and its counts, and passes only
+split the ensemble's rows.
 """
 from __future__ import annotations
 
@@ -56,10 +62,18 @@ ROW_AGREEMENT_TOL = 1e-9
 # |total mass - (n + 1)| <= MASS_DRIFT_PER_TRIAL * max(n, 1) at checkpoints.
 MASS_DRIFT_PER_TRIAL = 1e-9
 # Uniform variates pre-generated per trajectory chunk in the batched runner.
-DEFAULT_BATCH_STEPS = 2048
-# Upper bound on the bytes of one uniforms block (M trajectories x steps x 8 B);
-# large ensembles get shorter blocks, never fewer than one step.
+# Not a power of two: a 2048-step block is a 16 KiB row stride, and the step
+# loop's strided read of one column then maps every row to the same few
+# cache sets (K=4, horizon 2e4, M=500: 0.665 s at 2048 against 0.522 s at
+# 2000, medians of 5 alternating calls on one CPU of a 2-vCPU Xeon VM).
+DEFAULT_BATCH_STEPS = 2000
+# Upper bound on the bytes of one uniforms block (pass width x steps x 8 B);
+# wide passes get shorter blocks, never fewer than one step.
 UNIFORM_BLOCK_BYTES = 16 * 10**6
+# Most trajectories simulated at once: an ensemble runs in the fewest
+# passes of at most this many, each holding only its own generators (about
+# 1.4 KB of memory a stream).  2048 keeps an ensemble of 2000 in one pass.
+PASS_STREAMS = 2048
 # Stream ids must fit EnsemblePaths.streams, an int64 array.
 STREAM_LIMIT = 2**63
 # numpy.random.SeedSequence's hash constants and default pool size
@@ -341,6 +355,80 @@ def _validated_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     return cps
 
 
+def _generators(seed: int, stream_ids: np.ndarray, keys: np.ndarray) -> list:
+    """trajectory_rng(seed, s, key=k) for each stream s and its key k."""
+    # The cyclic collector would rescan the growing list of generators many
+    # times over (about a third of the set-up at M = 1e5); it is paused for
+    # the build only, and re-enabled only if it was on.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [
+            trajectory_rng(seed, s, key=key)
+            for s, key in zip(stream_ids.tolist(), keys)
+        ]
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
+    """Run one pass of simulate_many: the trajectories of gens, whole horizon.
+
+    Trajectory i draws from gens[i] through row i of u, this pass's rows of
+    the uniforms block, and its checkpoints go to row i of states, this
+    pass's rows of the ensemble's.  Each checkpoint is checked against the
+    mass law.  The generators are dropped when the pass returns.
+    """
+    k, m = spec.colors, len(gens)
+    # Colour-major working state: counts[j] holds colour j for every trajectory.
+    counts = np.repeat(spec.initial[:, None], m, axis=1)
+
+    def record(n: int) -> None:
+        at_n = states[:, cp_index[n], :]
+        at_n[...] = counts.T
+        drift = np.abs(at_n.sum(axis=1) - (n + 1.0)).max()
+        if drift > MASS_DRIFT_PER_TRIAL * max(n, 1):
+            raise RuntimeError(
+                f"mass law violated at n={n}: max drift {drift!r}"
+            )
+
+    if 0 in cp_index:
+        record(0)
+    rows_t = np.ascontiguousarray(spec.matrix.T)
+    cum = np.empty((k, m))
+    scaled = np.empty(m)
+    # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True and
+    # ext[K] = False; the one adjacent pair that differs marks the drawn colour.
+    ext = np.empty((k + 1, m), dtype=bool)
+    ext[0] = True
+    ext[k] = False
+    one_hot = np.empty((k, m))
+    add = np.empty((k, m))
+    # Views the step loop uses, built once.
+    cum_first, counts_first = cum[0], counts[0]
+    prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
+    cum_head, cum_total = cum[: k - 1], cum[k - 1]
+    ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
+    n = 0
+    while n < horizon:
+        block = min(u.shape[1], horizon - n)
+        for i, g in enumerate(gens):
+            g.random(out=u[i, :block])
+        for t in range(block):
+            np.copyto(cum_first, counts_first)
+            for prev, row, out in prefix_adds:
+                np.add(prev, row, out=out)
+            np.multiply(u[:, t], cum_total, out=scaled)
+            np.less_equal(cum_head, scaled, out=ext_head)
+            np.not_equal(ext_upper, ext_lower, out=one_hot)
+            np.matmul(rows_t, one_hot, out=add)
+            counts += add
+            n += 1
+            if n in cp_index:
+                record(n)
+
+
 def simulate_many(
     spec: ReplacementSpec,
     horizon: int,
@@ -382,10 +470,16 @@ def simulate_many(
     - the one value this could change is the sign of a zero (-0.0 + +0.0 is
       +0.0), and new_spec stores no -0.0.
 
-    Uniforms come in blocks of min(batch_steps, UNIFORM_BLOCK_BYTES // (8 M))
-    steps (at least one); batch_steps and the byte bound only control
-    memory and never change a value.  states keeps the (M, C, K) layout and
-    tracks the (M, C, P) layout.
+    The M streams run in the fewest passes of at most PASS_STREAMS, all W
+    wide but the last.  A pass builds its generators, runs the whole
+    horizon, checks the mass law and writes its rows of states at every
+    checkpoint, then drops its generators.  Uniforms come in blocks of
+    min(batch_steps, UNIFORM_BLOCK_BYTES // (8 W)) steps (at least one), in
+    one block allocated for the widest pass.  Besides the (M, C, K) states
+    and (M, C, P) tracks, memory is then the uniforms block plus one pass of
+    generators.  Tracks are formed after the last pass, over the whole
+    ensemble.  batch_steps and the two bounds only control memory and never
+    change a value.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -414,80 +508,36 @@ def simulate_many(
             raise ValueError(
                 f"track vectors have length {vt.shape[1]}, expected {spec.colors}"
             )
-    k = spec.colors
     n_cp = cps.size
-    states = np.empty((m, n_cp, k))
+    states = np.empty((m, n_cp, spec.colors))
     tracks = np.empty((m, n_cp, vt.shape[0]))
     cp_index = {int(n): i for i, n in enumerate(cps)}
-    # Colour-major working state: counts[j] holds colour j for every trajectory.
-    counts = np.repeat(spec.initial[:, None], m, axis=1)
-    # Row-major (M, K) copy for checkpoints: the mass sum and the track
-    # product then round exactly as they do on per-trajectory rows.
-    snapshot = np.empty((m, k))
-
-    def record(n: int) -> None:
-        i = cp_index[n]
-        snapshot[...] = counts.T
-        total = snapshot.sum(axis=1)
-        drift = np.abs(total - (n + 1.0)).max()
-        if drift > MASS_DRIFT_PER_TRIAL * max(n, 1):
-            raise RuntimeError(
-                f"mass law violated at n={n}: max drift {drift!r}"
-            )
-        states[:, i, :] = snapshot
-        if vt.shape[0]:
-            tracks[:, i, :] = snapshot @ vt.T
-
     keys = _stream_keys(seed, stream_ids)
-    # The cyclic collector would rescan the growing list of generators many
-    # times over (about a third of the set-up at M = 1e5); it is paused for
-    # the build only, and re-enabled only if it was on.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        gens = [
-            trajectory_rng(seed, s, key=key)
-            for s, key in zip(stream_ids.tolist(), keys)
-        ]
-    finally:
-        if collecting:
-            gc.enable()
-    if 0 in cp_index:
-        record(0)
-    rows_t = np.ascontiguousarray(spec.matrix.T)
-    cap = max(1, UNIFORM_BLOCK_BYTES // (8 * m))
-    u = np.empty((m, min(batch_steps, horizon, cap)))
-    cum = np.empty((k, m))
-    scaled = np.empty(m)
-    # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True and
-    # ext[K] = False; the one adjacent pair that differs marks the drawn colour.
-    ext = np.empty((k + 1, m), dtype=bool)
-    ext[0] = True
-    ext[k] = False
-    one_hot = np.empty((k, m))
-    add = np.empty((k, m))
-    # Views the step loop uses, built once.
-    cum_first, counts_first = cum[0], counts[0]
-    prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
-    cum_head, cum_total = cum[: k - 1], cum[k - 1]
-    ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
-    n = 0
-    while n < horizon:
-        block = min(u.shape[1], horizon - n)
-        for i, g in enumerate(gens):
-            g.random(out=u[i, :block])
-        for t in range(block):
-            np.copyto(cum_first, counts_first)
-            for prev, row, out in prefix_adds:
-                np.add(prev, row, out=out)
-            np.multiply(u[:, t], cum_total, out=scaled)
-            np.less_equal(cum_head, scaled, out=ext_head)
-            np.not_equal(ext_upper, ext_lower, out=one_hot)
-            np.matmul(rows_t, one_hot, out=add)
-            counts += add
-            n += 1
-            if n in cp_index:
-                record(n)
+    # The fewest passes of at most PASS_STREAMS streams, all as wide as the
+    # first but the last.
+    passes = -(-m // PASS_STREAMS)
+    width = -(-m // passes)
+    cap = max(1, UNIFORM_BLOCK_BYTES // (8 * width))
+    # One uniforms block for the widest pass, allocated once: a block
+    # reallocated per pass would come back from the heap, which glibc keeps.
+    u = np.empty((width, min(batch_steps, horizon, cap)))
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        _simulate_pass(
+            spec,
+            _generators(seed, stream_ids[lo:hi], keys[lo:hi]),
+            u[: hi - lo],
+            horizon,
+            cp_index,
+            states[lo:hi],
+        )
+    # Tracks are formed over the whole ensemble, one contiguous (M, K)
+    # checkpoint at a time, so they do not depend on the pass width: numpy
+    # sends a one-row product to another BLAS routine than a wider one, and
+    # the two may round differently.
+    if vt.shape[0]:
+        for i in range(n_cp):
+            tracks[:, i, :] = np.ascontiguousarray(states[:, i, :]) @ vt.T
     return EnsemblePaths(
         seed=seed,
         streams=stream_ids,

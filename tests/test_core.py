@@ -148,6 +148,47 @@ def test_uniform_block_byte_bound_is_invisible(monkeypatch, block_bytes):
     assert a.tracks.tolist() == b.tracks.tolist()
 
 
+@pytest.mark.parametrize("streams", [7, [0, 4, 2**40, 9, 5]], ids=["count", "list"])
+@pytest.mark.parametrize("pass_streams", [1, 3])
+def test_pass_bound_is_invisible(monkeypatch, pass_streams, streams):
+    # At a bound of 3, 7 streams run as passes of 3, 3 and 1, and 5 as 3 and 2.
+    spec = new_spec(*FOUR)
+    vectors = [[0.3, -0.1, 0.7, 0.2]]
+    a = simulate_many(spec, 300, 2, streams, track_vectors=vectors, batch_steps=64)
+    monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
+    b = simulate_many(spec, 300, 2, streams, track_vectors=vectors, batch_steps=64)
+    assert a.states.tolist() == b.states.tolist()
+    assert a.tracks.tolist() == b.tracks.tolist()
+
+
+def test_at_most_pass_bound_of_generators_alive(monkeypatch):
+    spec = new_spec(*TWO)
+    expected = simulate_many(spec, 40, 3, 10)
+    original = core.trajectory_rng
+    live = {"now": 0, "peak": 0}
+
+    class LiveGenerator:
+        def __init__(self, gen):
+            self._gen = gen
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+
+        def __del__(self):
+            live["now"] -= 1
+
+        def random(self, *args, **kwargs):
+            return self._gen.random(*args, **kwargs)
+
+    def live_rng(*args, **kwargs):
+        return LiveGenerator(original(*args, **kwargs))
+
+    monkeypatch.setattr(core, "trajectory_rng", live_rng)
+    monkeypatch.setattr(core, "PASS_STREAMS", 3)
+    paths = simulate_many(spec, 40, 3, 10)
+    assert live == {"now": 0, "peak": 3}
+    assert paths.states.tobytes() == expected.states.tobytes()
+
+
 # sha256 of simulate_many states and tracks on non-dyadic models.  They pin
 # which uniform each step consumes, the colour it selects and the row added.
 # A change that only re-rounds the prefix sums (say, scaling by n + 1 instead
@@ -266,6 +307,18 @@ def test_mass_law_exact_at_checkpoints():
     totals = paths.states.sum(axis=2)
     expect = paths.checkpoints + 1.0
     assert np.abs(totals - expect[None, :]).max() < 1e-10
+
+
+@pytest.mark.parametrize("pass_streams", [None, 1], ids=["default", "bound1"])
+def test_mass_law_violation_is_named(monkeypatch, pass_streams):
+    # Rows summing to 1 + 1e-6 bypass new_spec; the mass then drifts by
+    # 1e-6 a trial, a thousand times the allowed MASS_DRIFT_PER_TRIAL.
+    matrix = np.array([[0.7, 0.3 + 1e-6], [0.4, 0.6 + 1e-6]])
+    spec = core.ReplacementSpec(colors=2, matrix=matrix, initial=np.array([0.5, 0.5]))
+    if pass_streams is not None:
+        monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
+    with pytest.raises(RuntimeError, match=r"mass law violated at n=1: max drift"):
+        simulate_many(spec, 100, 3, 5)
 
 
 def test_counts_never_decrease():

@@ -148,6 +148,21 @@ def test_evaluate_report_rejects_wrong_variance():
     assert not ks.passed
 
 
+@pytest.mark.parametrize("scale, passes", [(1.0, True), (4.0, False)])
+def test_ks_mixture_rejects_wrong_mixture_variance(scale, passes):
+    # configs/three_color_mixture.json (MIX, seed 42) at horizon 3000.  The
+    # threshold is 3.7 * 1.36 / sqrt(m), and a 4x variance error gives D of
+    # about 0.19, so below about 700 trajectories this check cannot see it
+    # (ensemble 300 passes with D = 0.193 against 0.291).  At 1000 it fails.
+    rep = run_ensemble(MIX, predict(classify(MIX)), horizon=3000, ensemble=1000,
+                       seed=42, variance_scale=scale)
+    verdict = evaluate_report(rep)
+    sub = [r for r in verdict.rows if r.label == "sub_fluct"][0]
+    ks = [c for c in sub.checks if c.name == "ks-mixture"][0]
+    assert ks.passed is passes
+    assert verdict.passed is passes
+
+
 def test_evaluate_report_rejects_pooled_mixture_studentization():
     # dividing by the ensemble-mean U instead of each trajectory's own
     # estimate must fail whenever U genuinely varies
