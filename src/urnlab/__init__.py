@@ -27,7 +27,6 @@ from .laws import (
     predict,
 )
 from .oracle import (
-    OutcomeAtom,
     compensated_martingale_check,
     exact_conditional_variance_check,
     exact_distribution,
@@ -38,17 +37,12 @@ from .spectral import (
     Family,
     StructureClass,
     classify,
-    eigenpair_2x2,
     jordan_basis,
-    normalize_eigvec,
-    stationary_2x2,
 )
 from .verify import (
-    CheckResult,
     EnsembleReport,
     PredictionOutcome,
     ReportVerdict,
-    RowVerdict,
     VerdictPolicy,
     evaluate_report,
     ks_standard_normal,
@@ -73,7 +67,6 @@ __all__ = [
     "euler_ratio",
     "pi_n",
     "predict",
-    "OutcomeAtom",
     "compensated_martingale_check",
     "exact_conditional_variance_check",
     "exact_distribution",
@@ -82,15 +75,10 @@ __all__ = [
     "Family",
     "StructureClass",
     "classify",
-    "eigenpair_2x2",
     "jordan_basis",
-    "normalize_eigvec",
-    "stationary_2x2",
-    "CheckResult",
     "EnsembleReport",
     "PredictionOutcome",
     "ReportVerdict",
-    "RowVerdict",
     "VerdictPolicy",
     "evaluate_report",
     "ks_standard_normal",

@@ -31,7 +31,9 @@ An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
 the whole horizon with only its own generators alive, so the generators
 held do not grow with the ensemble.  Uniform variates are generated per
 trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
-UNIFORM_BLOCK_BYTES bytes over a pass.  No bound changes a result: a
+UNIFORM_BLOCK_BYTES (4 MB) over a pass, a size the step loop reads back
+from cache; each trajectory's refill is its generator's random method,
+bound once per pass to its row of the block.  No bound changes a result: a
 trajectory's state is its stream key and its counts, and passes only
 split the ensemble's rows.
 """
@@ -68,8 +70,12 @@ MASS_DRIFT_PER_TRIAL = 1e-9
 # 2000, medians of 5 alternating calls on one CPU of a 2-vCPU Xeon VM).
 DEFAULT_BATCH_STEPS = 2000
 # Upper bound on the bytes of one uniforms block (pass width x steps x 8 B);
-# wide passes get shorter blocks, never fewer than one step.
-UNIFORM_BLOCK_BYTES = 16 * 10**6
+# wide passes get shorter blocks, never fewer than one step.  L2 is 2 MB a
+# core on the 2-vCPU Xeon VM measured, so a 4 MB block is read back from
+# L2/L3 where a 16 MB one swept memory; a sweep at M = 2000 x 5e4 steps put
+# 1 MB (2.87 s) and 2 MB (2.38 s) behind 4 MB (2.15 s), their refills being
+# 4x and 2x as many (medians of 8 fresh processes on one pinned CPU).
+UNIFORM_BLOCK_BYTES = 4 * 10**6
 # Most trajectories simulated at once: an ensemble runs in the fewest
 # passes of at most this many, each holding only its own generators (about
 # 1.4 KB of memory a stream).  2048 keeps an ensemble of 2000 in one pass.
@@ -193,9 +199,11 @@ def color_from_uniform(counts: np.ndarray, u: float) -> int:
 
 
 def default_checkpoints(horizon: int) -> np.ndarray:
-    """0, the powers of two below the horizon, and the horizon itself."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    """0, the powers of two below the horizon, and the horizon itself.
+
+    horizon must be an integer >= 1; an integral float such as 3.0 counts,
+    a bool or a fraction raises ValueError."""
+    horizon = _checked_horizon(horizon)
     cps = [0]
     p = 1
     while p < horizon:
@@ -216,6 +224,13 @@ def _integer(value, what: str) -> int:
     if not integral or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what} is not an integer: {value!r}")
     return int(value)
+
+
+def _checked_horizon(horizon) -> int:
+    horizon = _integer(horizon, "horizon")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return horizon
 
 
 def _checked_seed(seed) -> int:
@@ -410,16 +425,25 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
     prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
     cum_head, cum_total = cum[: k - 1], cum[k - 1]
     ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
+    # Each refill is a bound method and its row, and each step reads one
+    # prebuilt column: no view or index is built per call.  Only a partial
+    # last block slices.
+    fills = [(g.random, row) for g, row in zip(gens, u)]
+    columns = list(u.T)
     n = 0
     while n < horizon:
         block = min(u.shape[1], horizon - n)
-        for i, g in enumerate(gens):
-            g.random(out=u[i, :block])
-        for t in range(block):
+        if block == u.shape[1]:
+            for fill, row in fills:
+                fill(out=row)
+        else:
+            for fill, row in fills:
+                fill(out=row[:block])
+        for column in columns[:block]:
             np.copyto(cum_first, counts_first)
             for prev, row, out in prefix_adds:
                 np.add(prev, row, out=out)
-            np.multiply(u[:, t], cum_total, out=scaled)
+            np.multiply(column, cum_total, out=scaled)
             np.less_equal(cum_head, scaled, out=ext_head)
             np.not_equal(ext_upper, ext_lower, out=one_hot)
             np.matmul(rows_t, one_hot, out=add)
@@ -446,7 +470,8 @@ def simulate_many(
     streams, checkpoints, track_vectors).  The seed must be an integer >= 0
     and every stream id an integer in [0, 2**63); integral floats such as
     3.0 count as integers, bools and fractions raise ValueError, before any
-    array is allocated.  Trajectory m draws from trajectory_rng(seed,
+    array is allocated.  horizon and batch_steps are checked the same way
+    and must be >= 1.  Trajectory m draws from trajectory_rng(seed,
     streams[m], key=...), with all M keys from one _stream_keys pass.
 
     Every step draws one colour per trajectory by the module's draw rule,
@@ -474,17 +499,19 @@ def simulate_many(
     wide but the last.  A pass builds its generators, runs the whole
     horizon, checks the mass law and writes its rows of states at every
     checkpoint, then drops its generators.  Uniforms come in blocks of
-    min(batch_steps, UNIFORM_BLOCK_BYTES // (8 W)) steps (at least one), in
-    one block allocated for the widest pass.  Besides the (M, C, K) states
-    and (M, C, P) tracks, memory is then the uniforms block plus one pass of
-    generators.  Tracks are formed after the last pass, over the whole
-    ensemble.  batch_steps and the two bounds only control memory and never
-    change a value.
+    min(batch_steps, horizon, UNIFORM_BLOCK_BYTES // (8 W)) steps (at least
+    one), in one block allocated for the widest pass: 4 MB, or 250 steps at
+    W = 2000.  Each refill calls every generator's random(out=row) once,
+    bound per pass, so a stream's generator is called ceil(horizon / block)
+    times.  Besides the (M, C, K) states and (M, C, P) tracks, memory is
+    then the uniforms block plus one pass of generators.  Tracks are formed
+    after the last pass, over the whole ensemble.  batch_steps and the two
+    bounds only control memory and never change a value.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _checked_horizon(horizon)
+    batch_steps = _integer(batch_steps, "batch_steps")
     if batch_steps < 1:
-        raise ValueError("batch_steps must be >= 1")
+        raise ValueError(f"batch_steps must be >= 1, got {batch_steps}")
     seed = _checked_seed(seed)
     if isinstance(streams, (numbers.Number, np.bool_)):
         stream_ids = np.arange(_integer(streams, "stream count"), dtype=np.int64)

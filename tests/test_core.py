@@ -189,6 +189,61 @@ def test_at_most_pass_bound_of_generators_alive(monkeypatch):
     assert paths.states.tobytes() == expected.states.tobytes()
 
 
+@pytest.mark.parametrize(
+    "horizon, streams, batch_steps, block_bytes, pass_streams",
+    [
+        (50, 5, 2000, 8 * 5 * 7, 2048),  # byte bound: 7-step blocks, last 1
+        (40, 4, 16, 10**6, 2048),  # batch_steps: 16-step blocks, last 8
+        (10, 4, 2000, 10**6, 2048),  # horizon: one block
+        (30, 7, 2000, 8 * 3 * 4, 3),  # passes of 3, 3 and 1; 4-step blocks
+    ],
+)
+def test_refill_schedule(
+    monkeypatch, horizon, streams, batch_steps, block_bytes, pass_streams
+):
+    # Each refill must go through the generator object's random attribute,
+    # where perfbench/tracer.py's TimedGenerator hooks it.
+    spec = new_spec(*FOUR)
+    expected = simulate_many(spec, horizon, 3, streams, batch_steps=batch_steps)
+    original = core.trajectory_rng
+    refills = []
+
+    class RefillLog:
+        def __init__(self, gen):
+            self._gen = gen
+            self.sizes = []
+            refills.append(self.sizes)
+
+        def random(self, *args, **kwargs):
+            self.sizes.append(kwargs["out"].nbytes)
+            return self._gen.random(*args, **kwargs)
+
+    monkeypatch.setattr(
+        core, "trajectory_rng", lambda *a, **kw: RefillLog(original(*a, **kw))
+    )
+    monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
+    paths = simulate_many(spec, horizon, 3, streams, batch_steps=batch_steps)
+    assert paths.states.tobytes() == expected.states.tobytes()
+    width = -(-streams // -(-streams // pass_streams))
+    block = min(batch_steps, horizon, block_bytes // (8 * width))
+    full, last = divmod(horizon, block)
+    schedule = [8 * block] * full + ([8 * last] if last else [])
+    assert len(schedule) == -(-horizon // block)
+    assert refills == [schedule] * streams
+    # No out array, nor one pass's refills together, exceed the byte bound.
+    assert sum(sizes[0] for sizes in refills[:width]) <= block_bytes
+
+
+def test_uniforms_block_bounds_traced_memory():
+    # One pass of 2000 streams whose block the byte bound shortens: 250
+    # steps of 4 MB where a 16 MB bound gave 1000 steps and about 20 MB
+    # traced.  The states add 0.8 MB and the generators about 3 MB.
+    spec = new_spec(*FOUR)
+    peak = _peak_bytes(lambda: simulate_many(spec, 1000, 3, 2000))
+    assert peak < 10 * 10**6
+
+
 # sha256 of simulate_many states and tracks on non-dyadic models.  They pin
 # which uniform each step consumes, the colour it selects and the row added.
 # A change that only re-rounds the prefix sums (say, scaling by n + 1 instead
@@ -427,6 +482,32 @@ def test_bad_seed_and_stream_rejected_before_allocation():
 
     states_bytes = len(streams) * default_checkpoints(horizon).size * spec.colors * 8
     assert _peak_bytes(huge_stream) < states_bytes / 10
+
+
+def test_fractional_and_bool_horizon_and_batch_steps_rejected():
+    spec = new_spec(*TWO)
+    m = 10**6
+    for bad in (2.5, True):
+        for kwargs, name in (({"horizon": bad}, "horizon"),
+                             ({"horizon": 1024, "batch_steps": bad}, "batch_steps")):
+
+            def rejected():
+                with pytest.raises(ValueError, match=f"{name} is not an integer"):
+                    simulate_many(spec, seed=1, streams=m, **kwargs)
+
+            # Raised before the keys and states of 10**6 streams exist.
+            assert _peak_bytes(rejected) < 10**6
+        with pytest.raises(ValueError, match="horizon is not an integer"):
+            default_checkpoints(bad)
+    for bad in (0, -3.0):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            simulate_many(spec, bad, 1, 2)
+    paths = simulate_many(spec, 3, 1, 4)
+    for horizon, batch_steps in ((3.0, 2000), (3, 2.0), (np.float64(3), np.int32(1))):
+        again = simulate_many(spec, horizon, 1, 4, batch_steps=batch_steps)
+        assert again.states.tobytes() == paths.states.tobytes()
+        assert again.checkpoints.tolist() == paths.checkpoints.tolist()
+    assert default_checkpoints(8.0).tolist() == default_checkpoints(8).tolist()
 
 
 _SEEDS = st.one_of(

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnlab import (
-    Family,
-    classify,
-    eigenpair_2x2,
-    jordan_basis,
-    new_spec,
-    normalize_eigvec,
-    stationary_2x2,
-)
+from urnlab import Family, classify, jordan_basis, new_spec
+from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
 
 TWO = [[0.7, 0.3], [0.4, 0.6]]
 TRI = [[0.5, 0.5], [0.0, 1.0]]
