@@ -32,8 +32,8 @@ the whole horizon with only its own generators alive, so the generators
 held do not grow with the ensemble.  Uniform variates are generated per
 trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
 UNIFORM_BLOCK_BYTES (4 MB) over a pass, a size the step loop reads back
-from cache; each trajectory's refill is its generator's random method,
-bound once per pass to its row of the block.  No bound changes a result: a
+from cache; each trajectory's refill is one call of its generator's
+random into its row of the block.  No bound changes a result: a
 trajectory's state is its stream key and its counts, and passes only
 split the ensemble's rows.
 """
@@ -425,21 +425,13 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
     prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
     cum_head, cum_total = cum[: k - 1], cum[k - 1]
     ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
-    # Each refill is a bound method and its row, and each step reads one
-    # prebuilt column: no view or index is built per call.  Only a partial
-    # last block slices.
-    fills = [(g.random, row) for g, row in zip(gens, u)]
-    columns = list(u.T)
     n = 0
     while n < horizon:
-        block = min(u.shape[1], horizon - n)
-        if block == u.shape[1]:
-            for fill, row in fills:
-                fill(out=row)
-        else:
-            for fill, row in fills:
-                fill(out=row[:block])
-        for column in columns[:block]:
+        # Every stream refills its row of the block; each step reads a column.
+        ub = u[:, : min(u.shape[1], horizon - n)]
+        for g, row in zip(gens, ub):
+            g.random(out=row)
+        for column in ub.T:
             np.copyto(cum_first, counts_first)
             for prev, row, out in prefix_adds:
                 np.add(prev, row, out=out)
@@ -502,11 +494,11 @@ def simulate_many(
     min(batch_steps, horizon, UNIFORM_BLOCK_BYTES // (8 W)) steps (at least
     one), in one block allocated for the widest pass: 4 MB, or 250 steps at
     W = 2000.  Each refill calls every generator's random(out=row) once,
-    bound per pass, so a stream's generator is called ceil(horizon / block)
-    times.  Besides the (M, C, K) states and (M, C, P) tracks, memory is
-    then the uniforms block plus one pass of generators.  Tracks are formed
-    after the last pass, over the whole ensemble.  batch_steps and the two
-    bounds only control memory and never change a value.
+    so a stream's generator is called ceil(horizon / block) times.  Besides
+    the (M, C, K) states and (M, C, P) tracks, memory is then the uniforms
+    block plus one pass of generators.  Tracks are formed after the last
+    pass, over the whole ensemble.  batch_steps and the two bounds only
+    control memory and never change a value.
     """
     horizon = _checked_horizon(horizon)
     batch_steps = _integer(batch_steps, "batch_steps")
