@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_laws import BRANCHES
 
 from urnlab import Family, classify, jordan_basis, new_spec
 from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
@@ -226,3 +230,157 @@ def test_classify_never_misidentifies_random_triangular(data):
     k = classify(new_spec(m, [0.25, 0.25, 0.5]))
     assert k.family is Family.THREE_ONE_DOMINANT
     assert k.scale == pytest.approx(s, abs=1e-9)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# One spec for every reason classify gives when it finds no supported shape.
+UNSUPPORTED = {
+    "dense": ([[0.2, 0.8, 0.0], [0.3, 0.2, 0.5], [0.1, 0.2, 0.7]], uniform(3)),
+    "two_alternating": ([[0.0, 1.0], [1.0, 0.0]], uniform(2)),
+    "two_minor_scale_zero": ([[0.0, 1.0], [0.0, 1.0]], uniform(2)),
+    "periodic_sub_block": (
+        [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]], [0.25, 0.25, 0.5]
+    ),
+    "sub_block_mass_one": (
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [0.25, 0.25, 0.5]
+    ),
+    "minor_scale_zero": (
+        [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], uniform(3)
+    ),
+    "four_full_eigenspace_repeat": (
+        [
+            [0.25, 0.25, 0.25, 0.25],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.0, 0.0, 0.75, 0.25],
+            [0.0, 0.0, 0.25, 0.75],
+        ],
+        uniform(4),
+    ),
+}
+REFUSED = {
+    "five_colors": (np.eye(5) * 0.5 + np.full((5, 5), 0.1), uniform(5)),
+    "two_triangular_no_mass": (TRI, [0.0, 1.0]),
+    "one_dominant_no_mass": (ONE_DOM, [0.0, 0.0, 1.0]),
+    "two_dominant_no_mass": (TWO_DOM_JORDAN, [0.0, 0.5, 0.5]),
+    "four_block_no_mass": (FOUR_JORDAN, [0.0, 0.0, 0.5, 0.5]),
+}
+
+
+def _pinned_specs():
+    specs = {name: (m, c0) for name, (m, c0, *_) in BRANCHES.items()}
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        specs[path.stem] = (cfg["replacement_matrix"], cfg["initial_composition"])
+    specs.update(UNSUPPORTED)
+    return specs
+
+
+def _class_digest(klass):
+    """sha256 over every field of a StructureClass but spec, bit for bit."""
+    h = hashlib.sha256()
+
+    def put(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        else:
+            h.update(repr(x).encode())
+        h.update(b"|")
+
+    for x in (klass.family.value, klass.permutation, klass.warnings,
+              klass.scale, klass.lam, klass.beta, klass.stationary_whole,
+              klass.stationary_sub, klass.stationary_dom, klass.eigvec_lam,
+              klass.eigvec_beta, klass.jordan_basis_matrix, klass.jordan_form):
+        put(x)
+    for label, vec, eig in klass.vectors:
+        put(label)
+        put(vec)
+        put(eig)
+    return h.hexdigest()
+
+
+# Regenerate these only for a deliberate change to the classifier's output:
+# every prediction, oracle check and verdict reads it.
+CLASS_DIGESTS = {
+    "identity": "af073db1ac381b95692943014d3f519058a5c8172661430c371a2811ba366a8d",
+    "two_zero": "7e84bc90c8d163939a9e1e7c58c6a67c0f9a5c8f8542743fedc027486eb9076f",
+    "two_below": "6a9a07620222f7b5d9430922d26148305fa06264dce7db82cfbe0ba5e6bbe5ab",
+    "two_negative": "9e32c00e7d948d45750c36e0dffa91d9cc2a85194d5319864bad730de5c7865f",
+    "two_half": "9bccc2449e8b875191dd0a1cd0545d8ad5f70448d25a35a7bbcbbf50a341fa4f",
+    "two_above": "819f911f02909c20e077ec27092626483c124941fdafe58070b33d80ea41f50a",
+    "two_triangular": "bcccd9d25d07f2ae674a83dd0aef0471f9050201f5114679628efdf53f310cd0",
+    "one_dom_zero": "010c15745712fa9fcac11456e4ff0d5fa3af98be33cf7e56a60a1ed397d77f51",
+    "one_dom_below": "a88e4077459f4723d29280be37ab82ab887a13973cb9c3505d654ade0077b10f",
+    "one_dom_half": "3f721b70297e99b486ef551bbac3b57e3f07de8e5ff1186413ddcf4cfec5718f",
+    "one_dom_above": "13291121357b9d30f335872a1b01274ad67428855a1af80f368cfa4c969549cb",
+    "two_dom_zero": "853ea65cfa3067f94091a6b6bb271a40d1853b96fd91e6ec01b6a3c145d3f741",
+    "two_dom_below": "8575f41020a2bb155c76773b661c33d0c6a47695035f7b409604f2e754bbee2e",
+    "two_dom_negative": "d847772b077e4ef1cf4a908997298c856941726c8586e53fd46dab968d569304",
+    "two_dom_half": "cfed268b9ef0f49399a9c3b63303eab8c9e73e666921f606f16b08dd8120df9b",
+    "two_dom_above": "46171533f1d59a5d8629bd8723a1e0773422473027b79dbeab55d21e151b8e36",
+    "two_dom_periodic": "c6ff3fa3a9e86a31baa3c6bd770f1a4e24350f98dcf730a68ea73bebfe0a8b61",
+    "three_jordan_below": "7086681f6fbd6b871a629e0253914a646fe2fc3d21c32904d6c9a064bcbe20f9",
+    "three_jordan_below_relabeled": "277feff475912bc90db4c02ca4bd4ce49811f9df7216c326a670fd147b12db6d",
+    "three_jordan_above": "e71a25df5836dc3cf541a12a6632d0d80e8d558d71bd046fc3d9b2d1766a929f",
+    "four_diag_zero": "0427d5713ebc38a29cf4a98cca5cc584e554f61966211abf5929579e8bde1bfb",
+    "four_diag_below": "f2bf872dc4504962501084d34da850cd8d768292ff0c1c18d8a023052bc0b986",
+    "four_diag_half": "d9f01ce196d7b9a1901465efa699f5fcfd81475c1dc85b3960c50be8da23b588",
+    "four_diag_above": "f544f4bc999bac0da692700696bf87673c2c5785a1a295131959dafb20df5023",
+    "four_diag_periodic": "ce40160d5a705f5d18acc6d2849fc58cd289d02d58ab8642912a313c53807d02",
+    "four_jordan_zero": "45754c9e9e39e8c332f7f570736a138ecd1ba5622812fb257c4b733cf9438b0a",
+    "four_jordan_below": "a2540c15fd2af4dd38bafca427f786a7c62cc6f23c1e9e2d08bcd51a2e1f419b",
+    "four_jordan_below_relabeled": "58479801f329a6b4ce4c6dcc9154d7888e25d70a32523297abcaa26dca55b77e",
+    "four_jordan_sub_total": "3889208088e42980d003ee151fa37d33a6e5ae0fc7931f7a73e18d30e4bb9844",
+    "four_jordan_sub_fluct": "7e05653226af0bb9e2499136e1caf4509bc0b99e6022b840e7ec3dfed1a89312",
+    "four_color_jordan": "45754c9e9e39e8c332f7f570736a138ecd1ba5622812fb257c4b733cf9438b0a",
+    "three_color_mixture": "a88e4077459f4723d29280be37ab82ab887a13973cb9c3505d654ade0077b10f",
+    "two_color": "6a9a07620222f7b5d9430922d26148305fa06264dce7db82cfbe0ba5e6bbe5ab",
+    "dense": "33aeb1f76908a5cb67e07fd5befb4cbd955ded1a0c29a23590da3e4d1c5b55f3",
+    "two_alternating": "a14f15c60e5f57689dc501611a37655a05514602ce8a22bf40f3cd725ebb45b7",
+    "two_minor_scale_zero": "a19d93a7048f2199ae5f9bb99cdc60b8a366bb97ccb3dc3e4362f8fa635baf06",
+    "periodic_sub_block": "d99e1d6bf892cc50aa01a7b002762cdf128fbc157a4e82b8a0a14e7515ed2699",
+    "sub_block_mass_one": "85867d66e543c3b2daaf5de4c9719908480f0ff77b4293d5f55bb235576baf3a",
+    "minor_scale_zero": "80bafca80ec8549b4f71a1b1c203a5f65adb369e95887583c44e6a533a22c0fc",
+    "four_full_eigenspace_repeat": "73c2f13746aa9dd3f7d0b266e0816a081fdd1738aad729ebf1671d82eee51a0d",
+}
+REFUSALS = {
+    "five_colors": ("ValueError", "classification supports 2 to 4 colors, got 5"),
+    "two_triangular_no_mass": (
+        "ValueError",
+        "initial composition puts no mass on the minor color "
+        "(original color 0); its scaled track is degenerate",
+    ),
+    "one_dominant_no_mass": (
+        "ValueError",
+        "initial composition puts no mass on the non-dominant "
+        "colors (original colors 0 and 1); their scaled tracks are "
+        "degenerate",
+    ),
+    "two_dominant_no_mass": (
+        "ValueError",
+        "initial composition puts no mass on the minor color "
+        "(original color 0); its scaled track is degenerate",
+    ),
+    "four_block_no_mass": (
+        "ValueError",
+        "initial composition puts no mass on the non-dominant "
+        "colors (original colors 0 and 1); their scaled tracks are "
+        "degenerate",
+    ),
+}
+
+
+def test_classify_pins_every_field():
+    got = {
+        name: _class_digest(classify(new_spec(m, c0)))
+        for name, (m, c0) in _pinned_specs().items()
+    }
+    assert got == CLASS_DIGESTS
+
+
+@pytest.mark.parametrize("name", list(REFUSED))
+def test_classify_pins_refusals(name):
+    m, c0 = REFUSED[name]
+    with pytest.raises(ValueError) as info:
+        classify(new_spec(m, c0))
+    assert (type(info.value).__name__, str(info.value)) == REFUSALS[name]
