@@ -37,7 +37,6 @@ from .spectral import (
     Family,
     StructureClass,
     classify,
-    jordan_basis,
 )
 from .verify import (
     EnsembleReport,
@@ -75,7 +74,6 @@ __all__ = [
     "Family",
     "StructureClass",
     "classify",
-    "jordan_basis",
     "EnsembleReport",
     "PredictionOutcome",
     "ReportVerdict",

@@ -48,7 +48,7 @@ from .oracle import (
     exact_conditional_variance_check,
     exact_mean_linear,
 )
-from .spectral import Family, StructureClass, classify
+from .spectral import StructureClass, classify
 from .verify import (
     DEFAULT_MAX_DRAWS,
     U_FLOOR,
@@ -249,7 +249,7 @@ def _run_oracle_checks(
         )
     except ValueError as exc:
         lines.append(f"SKIP conditional-variance: {exc}")
-    if klass.family in (Family.THREE_TWO_DOMINANT_JORDAN, Family.FOUR_BLOCK_JORDAN):
+    if klass.jordan_form is not None:
         gap = compensated_martingale_check(spec, klass, n_var)
         passed = gap <= _ORACLE_TOL
         ok &= passed

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import ReplacementSpec, _integer
 from .laws import pi_n
-from .spectral import EIG_TOL, Family, StructureClass
+from .spectral import EIG_TOL, StructureClass
 
 __all__ = [
     "MAX_ENUM_STEPS",
@@ -257,10 +257,7 @@ def compensated_martingale_check(
     such a track.  On the shipped beta = 0 four-colour example sub_fluct is
     identically 0, so there the check has no teeth.
     """
-    if klass.family not in (
-        Family.THREE_TWO_DOMINANT_JORDAN,
-        Family.FOUR_BLOCK_JORDAN,
-    ):
+    if klass.jordan_form is None:
         raise ValueError(
             f"{klass.family.value} has no generalized-eigenvector track; "
             "eigen tracks are covered by exact_conditional_variance_check"

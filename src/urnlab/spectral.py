@@ -9,7 +9,9 @@ blocks, and a Jordan basis when the matrix is not diagonalizable.
 All 2x2 spectra are in closed form: for a stochastic block
 [[1-a, a], [b, 1-b]] the non-principal eigenvalue is 1-a-b, its right
 eigenvector is proportional to (a, -b), and the stationary distribution is
-(b, a)/(a+b).  No general eigensolver is involved.
+(b, a)/(a+b).  No general eigensolver is involved.  Every stored
+eigenpair and Jordan identity is verified once, to EIG_TOL, before classify
+returns.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ __all__ = [
     "eigenpair_2x2",
     "stationary_2x2",
     "classify",
-    "jordan_basis",
 ]
 
 # Entries at or below this count as structural zeros.
@@ -154,12 +155,12 @@ def eigenpair_2x2(m) -> tuple[float, np.ndarray]:
     return lam, normalize_eigvec(np.array([a, -b]))
 
 
-def stationary_2x2(m) -> tuple[np.ndarray, bool]:
-    """Stationary distribution (b, a)/(a+b) and an aperiodicity flag.
+def stationary_2x2(m) -> np.ndarray:
+    """Stationary distribution (b, a)/(a+b) of an irreducible 2x2 chain.
 
-    The flag is False exactly when the chain alternates deterministically
-    (non-principal eigenvalue -1), in which case the stationary vector is
-    still returned but time averages, not laws, converge to it.
+    A chain that alternates deterministically (non-principal eigenvalue -1)
+    still gets its stationary vector, but there time averages, not laws,
+    converge to it.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
@@ -169,9 +170,7 @@ def stationary_2x2(m) -> tuple[np.ndarray, bool]:
         raise ValueError("identity matrix has no unique stationary distribution")
     if a <= ZERO_TOL or b <= ZERO_TOL:
         raise ValueError("matrix is reducible; stationary distribution is degenerate")
-    pi = np.array([b, a]) / (a + b)
-    lam = m[0, 0] + m[1, 1] - 1.0
-    return pi, bool(lam > -1.0 + REPEAT_TOL)
+    return np.array([b, a]) / (a + b)
 
 
 def _permute(matrix: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -219,72 +218,26 @@ def _identity_class(spec: ReplacementSpec) -> StructureClass:
     )
 
 
-def _classify_two(spec: ReplacementSpec) -> StructureClass:
-    r = spec.matrix
-    a, b = _offdiag(r)
-    if a > ZERO_TOL and b > ZERO_TOL:
-        lam = float(r[0, 0] + r[1, 1] - 1.0)
-        if lam <= -1.0 + REPEAT_TOL:
-            return StructureClass(
-                family=Family.UNSUPPORTED,
-                spec=spec,
-                permutation=(0, 1),
-                warnings=(
-                    "the two colors alternate deterministically "
-                    "(non-principal eigenvalue -1); scaled limit laws do not apply",
-                ),
-            )
-        _, xi = eigenpair_2x2(r)
-        pi_r, _ = stationary_2x2(r)
-        klass = StructureClass(
-            family=Family.TWO_IRREDUCIBLE,
-            spec=spec,
-            permutation=(0, 1),
-            lam=lam,
-            stationary_whole=pi_r,
-            eigvec_lam=xi,
-            vectors=(
-                ("mass", np.ones(2), 1.0),
-                ("fluct", xi.copy(), lam),
-            ),
+def _minor_scale(rp: np.ndarray) -> float:
+    """Self-replacement s of the leading minor color, strictly inside (0, 1)."""
+    s = float(rp[0, 0])
+    if not (REPEAT_TOL < s < 1.0 - REPEAT_TOL):
+        raise _NoMatch(
+            "triangular shape found but the minor color's self-replacement "
+            "is 0 or 1; scaled limits need it strictly inside (0, 1)"
         )
-        _check_eigenpairs(spec, klass)
-        return klass
-    reasons: list[str] = []
-    for perm in ((0, 1), (1, 0)):
-        rp = _permute(r, perm)
-        if rp[1, 0] > ZERO_TOL:
-            continue
-        s = float(rp[0, 0])
-        if not (REPEAT_TOL < s < 1.0 - REPEAT_TOL):
-            reasons.append(
-                "triangular shape found but the minor color's self-replacement "
-                "is 0 or 1; scaled limits need it strictly inside (0, 1)"
-            )
-            continue
-        if spec.initial[perm[0]] <= 0.0:
-            raise ValueError(
-                f"initial composition puts no mass on the minor color "
-                f"(original color {perm[0]}); its scaled track is degenerate"
-            )
-        minor = _to_original([1.0, 0.0], perm, 2)
-        klass = StructureClass(
-            family=Family.TWO_TRIANGULAR,
-            spec=spec,
-            permutation=perm,
-            scale=s,
-            vectors=(
-                ("mass", np.ones(2), 1.0),
-                ("minor", minor, s),
-            ),
-        )
-        _check_eigenpairs(spec, klass)
-        return klass
-    return _unsupported(spec, 2, reasons)
+    return s
 
 
-def _sub_block(rp: np.ndarray, dom_cols: slice) -> tuple[float, np.ndarray]:
-    """Common row mass s of the leading 2x2 block and the block divided by s."""
+def _require_irreducible(block: np.ndarray) -> None:
+    if block[0, 1] <= ZERO_TOL or block[1, 0] <= ZERO_TOL:
+        raise _NoMatch()
+
+
+def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(s, Q, lam) for the leading 2x2 block: its common row mass s,
+    Q = block / s and Q's non-principal eigenvalue.  Q must be irreducible
+    and aperiodic."""
     s0 = float(rp[0, :2].sum())
     s1 = float(rp[1, :2].sum())
     if abs(s0 - s1) > REPEAT_TOL:
@@ -295,19 +248,7 @@ def _sub_block(rp: np.ndarray, dom_cols: slice) -> tuple[float, np.ndarray]:
             "block-triangular shape found but the non-dominant block's row "
             "mass is 0 or 1; scaled limits need it strictly inside (0, 1)"
         )
-    return s, rp[:2, :2] / s
-
-
-def _require_irreducible(block: np.ndarray) -> None:
-    if block[0, 1] <= ZERO_TOL or block[1, 0] <= ZERO_TOL:
-        raise _NoMatch()
-
-
-def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    if rp[2, 0] > ZERO_TOL or rp[2, 1] > ZERO_TOL:
-        raise _NoMatch()
-    s, q = _sub_block(rp, slice(2, 3))
+    q = rp[:2, :2] / s
     _require_irreducible(q)
     lam = float(q[0, 0] + q[1, 1] - 1.0)
     if lam <= -1.0 + REPEAT_TOL:
@@ -315,21 +256,97 @@ def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
             "non-dominant block alternates deterministically "
             "(non-principal eigenvalue -1); its embedded chain has no limit law"
         )
+    return s, q, lam
+
+
+def _dominant_block(p: np.ndarray) -> tuple[float, list[str]]:
+    """(lam, warnings) for an irreducible dominant 2x2 block with
+    non-principal eigenvalue lam.  A periodic block is accepted with a
+    warning."""
+    _require_irreducible(p)
+    lam = float(p[0, 0] + p[1, 1] - 1.0)
+    warnings: list[str] = []
+    if lam <= -1.0 + REPEAT_TOL:
+        warnings.append(
+            "dominant block alternates deterministically; predictions built "
+            "from its stationary distribution are unverified"
+        )
+    return lam, warnings
+
+
+def _require_minor_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
+    if spec.initial[perm[0]] <= 0.0:
+        raise ValueError(
+            f"initial composition puts no mass on the minor color "
+            f"(original color {perm[0]}); its scaled track is degenerate"
+        )
+
+
+def _require_sub_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
     if spec.initial[perm[0]] + spec.initial[perm[1]] <= 0.0:
         raise ValueError(
             "initial composition puts no mass on the non-dominant colors "
             f"(original colors {perm[0]} and {perm[1]}); "
             "their scaled tracks are degenerate"
         )
+
+
+def _match_two_irreducible(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
+    rp = _permute(spec.matrix, perm)
+    _require_irreducible(rp)
+    lam = float(rp[0, 0] + rp[1, 1] - 1.0)
+    if lam <= -1.0 + REPEAT_TOL:
+        raise _NoMatch(
+            "the two colors alternate deterministically "
+            "(non-principal eigenvalue -1); scaled limit laws do not apply"
+        )
+    _, xi = eigenpair_2x2(rp)
+    return StructureClass(
+        family=Family.TWO_IRREDUCIBLE,
+        spec=spec,
+        permutation=perm,
+        lam=lam,
+        stationary_whole=stationary_2x2(rp),
+        eigvec_lam=xi,
+        vectors=(
+            ("mass", np.ones(2), 1.0),
+            ("fluct", _to_original(xi, perm, 2), lam),
+        ),
+    )
+
+
+def _match_two_triangular(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
+    rp = _permute(spec.matrix, perm)
+    if rp[1, 0] > ZERO_TOL:
+        raise _NoMatch()
+    s = _minor_scale(rp)
+    _require_minor_mass(spec, perm)
+    return StructureClass(
+        family=Family.TWO_TRIANGULAR,
+        spec=spec,
+        permutation=perm,
+        scale=s,
+        vectors=(
+            ("mass", np.ones(2), 1.0),
+            ("minor", _to_original([1.0, 0.0], perm, 2), s),
+        ),
+    )
+
+
+def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
+    rp = _permute(spec.matrix, perm)
+    if rp[2, 0] > ZERO_TOL or rp[2, 1] > ZERO_TOL:
+        raise _NoMatch()
+    s, q, lam = _sub_block(rp)
+    _require_sub_mass(spec, perm)
     _, xi = eigenpair_2x2(q)
-    pi_q, _ = stationary_2x2(q)
-    klass = StructureClass(
+    return StructureClass(
         family=Family.THREE_ONE_DOMINANT,
         spec=spec,
         permutation=perm,
         scale=s,
         lam=lam,
-        stationary_sub=pi_q,
+        stationary_sub=stationary_2x2(q),
         eigvec_lam=xi,
         vectors=(
             ("mass", np.ones(3), 1.0),
@@ -337,52 +354,19 @@ def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
             ("sub_fluct", _to_original([xi[0], xi[1], 0.0], perm, 3), s * lam),
         ),
     )
-    _check_eigenpairs(spec, klass)
-    return klass
-
-
-def _jordan_three(s: float, xi_pinned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical-coordinate Jordan basis for the three-color repeated case.
-
-    Columns: the minor eigenvector, the generalized vector (0, xi_pinned),
-    and the all-ones vector.  xi_pinned must already satisfy
-    (1-s) * coupling . xi_pinned = 1 so that R t2 = t1 + s t2.
-    """
-    t = np.zeros((3, 3))
-    t[:, 0] = (1.0, 0.0, 0.0)
-    t[1:, 1] = xi_pinned
-    t[:, 2] = 1.0
-    j = np.array([[s, 1.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]])
-    return t, j
 
 
 def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
     rp = _permute(spec.matrix, perm)
     if rp[1, 0] > ZERO_TOL or rp[2, 0] > ZERO_TOL:
         raise _NoMatch()
-    s = float(rp[0, 0])
-    if not (REPEAT_TOL < s < 1.0 - REPEAT_TOL):
-        raise _NoMatch(
-            "triangular shape found but the minor color's self-replacement "
-            "is 0 or 1; scaled limits need it strictly inside (0, 1)"
-        )
+    s = _minor_scale(rp)
     p_block = rp[1:, 1:]
-    _require_irreducible(p_block)
-    coupling = rp[0, 1:] / (1.0 - s)
-    lam = float(p_block[0, 0] + p_block[1, 1] - 1.0)
-    warnings: list[str] = []
-    if lam <= -1.0 + REPEAT_TOL:
-        warnings.append(
-            "dominant block alternates deterministically; predictions built "
-            "from its stationary distribution are unverified"
-        )
-    if spec.initial[perm[0]] <= 0.0:
-        raise ValueError(
-            f"initial composition puts no mass on the minor color "
-            f"(original color {perm[0]}); its scaled track is degenerate"
-        )
+    lam, warnings = _dominant_block(p_block)
+    _require_minor_mass(spec, perm)
     _, xi = eigenpair_2x2(p_block)
-    pi_p, _ = stationary_2x2(p_block)
+    pi_p = stationary_2x2(p_block)
+    coupling = rp[0, 1:] / (1.0 - s)
     minor = _to_original([1.0, 0.0, 0.0], perm, 3)
     common = dict(
         spec=spec,
@@ -392,105 +376,64 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
         stationary_dom=pi_p,
         eigvec_lam=xi,
     )
-    if abs(lam - s) <= REPEAT_TOL:
-        pxi = float(coupling @ xi)
-        if abs(pxi) <= REPEAT_TOL:
-            # Repeated eigenvalue with a full eigenspace: the coupling row is
-            # orthogonal to xi, which forces it to equal the stationary
-            # distribution of the dominant block.
-            if float(np.abs(coupling - pi_p).max()) > REPEAT_TOL:
-                warnings.append(
-                    "coupling row is orthogonal to the dominant eigenvector yet "
-                    "differs from the stationary distribution; numerical edge"
-                )
-            v2 = _to_original([0.0, xi[0], xi[1]], perm, 3)
-            klass = StructureClass(
-                family=Family.THREE_TWO_DOMINANT_DIAG,
-                warnings=tuple(warnings),
-                vectors=(
-                    ("mass", np.ones(3), 1.0),
-                    ("minor", minor, s),
-                    ("dom_fluct", v2, lam),
-                ),
-                **common,
-            )
-            _check_eigenpairs(spec, klass)
-            return klass
-        # Deficient eigenspace: pin the generalized vector's scale so that
-        # R t2 = t1 + s t2 holds exactly.
+    rows = (("mass", np.ones(3), 1.0), ("minor", minor, s))
+    pxi = float(coupling @ xi)
+    if abs(lam - s) > REPEAT_TOL:
+        c = (1.0 - s) * pxi / (lam - s)
+    elif abs(pxi) > REPEAT_TOL:
+        # Repeated eigenvalue with a deficient eigenspace: pin the
+        # generalized vector's scale so that R t2 = t1 + s t2 holds exactly.
         xi_pinned = xi / ((1.0 - s) * pxi)
-        t_canon, j = _jordan_three(s, xi_pinned)
-        t = np.zeros((3, 3))
-        for col in range(3):
-            t[:, col] = _to_original(t_canon[:, col], perm, 3)
-        t2 = t[:, 1].copy()
-        klass = StructureClass(
+        t = np.column_stack([
+            minor,
+            _to_original([0.0, xi_pinned[0], xi_pinned[1]], perm, 3),
+            np.ones(3),
+        ])
+        return StructureClass(
             family=Family.THREE_TWO_DOMINANT_JORDAN,
             warnings=tuple(warnings),
             jordan_basis_matrix=t,
-            jordan_form=j,
-            vectors=(
-                ("mass", np.ones(3), 1.0),
-                ("minor", minor, s),
-                ("dom_fluct", t2, None),
-            ),
+            jordan_form=np.array([[s, 1.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]),
+            vectors=rows + (("dom_fluct", t[:, 1].copy(), None),),
             **common,
         )
-        _check_eigenpairs(spec, klass)
-        return klass
-    c = (1.0 - s) * float(coupling @ xi) / (lam - s)
-    v2 = _to_original([c, xi[0], xi[1]], perm, 3)
-    klass = StructureClass(
+    else:
+        # Repeated eigenvalue with a full eigenspace: the coupling row is
+        # orthogonal to xi, which forces it to equal the stationary
+        # distribution of the dominant block.
+        if float(np.abs(coupling - pi_p).max()) > REPEAT_TOL:
+            warnings.append(
+                "coupling row is orthogonal to the dominant eigenvector yet "
+                "differs from the stationary distribution; numerical edge"
+            )
+        c = 0.0
+    return StructureClass(
         family=Family.THREE_TWO_DOMINANT_DIAG,
         warnings=tuple(warnings),
-        vectors=(
-            ("mass", np.ones(3), 1.0),
-            ("minor", minor, s),
-            ("dom_fluct", v2, lam),
+        vectors=rows + (
+            ("dom_fluct", _to_original([c, xi[0], xi[1]], perm, 3), lam),
         ),
         **common,
     )
-    _check_eigenpairs(spec, klass)
-    return klass
 
 
 def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
     rp = _permute(spec.matrix, perm)
     if float(np.abs(rp[2:, :2]).max()) > ZERO_TOL:
         raise _NoMatch()
-    s, q = _sub_block(rp, slice(2, 4))
-    _require_irreducible(q)
-    lam = float(q[0, 0] + q[1, 1] - 1.0)
-    if lam <= -1.0 + REPEAT_TOL:
-        raise _NoMatch(
-            "non-dominant block alternates deterministically "
-            "(non-principal eigenvalue -1); its embedded chain has no limit law"
-        )
+    s, q, lam = _sub_block(rp)
     p_block = rp[2:, 2:]
-    _require_irreducible(p_block)
-    beta = float(p_block[0, 0] + p_block[1, 1] - 1.0)
-    warnings: list[str] = []
-    if beta <= -1.0 + REPEAT_TOL:
-        warnings.append(
-            "dominant block alternates deterministically; predictions built "
-            "from its stationary distribution are unverified"
-        )
-    if spec.initial[perm[0]] + spec.initial[perm[1]] <= 0.0:
-        raise ValueError(
-            "initial composition puts no mass on the non-dominant colors "
-            f"(original colors {perm[0]} and {perm[1]}); "
-            "their scaled tracks are degenerate"
-        )
-    coupling_block = rp[:2, 2:]
+    beta, warnings = _dominant_block(p_block)
+    _require_sub_mass(spec, perm)
     _, xi = eigenpair_2x2(q)
-    pi_q, _ = stationary_2x2(q)
+    pi_q = stationary_2x2(q)
     _, nu_hat = eigenpair_2x2(p_block)
-    pi_p, _ = stationary_2x2(p_block)
+    pi_p = stationary_2x2(p_block)
     v1 = _to_original([1.0, 1.0, 0.0, 0.0], perm, 4)
     v2 = _to_original([xi[0], xi[1], 0.0, 0.0], perm, 4)
     # Resolve the coupling image of the dominant eigenvector in the basis
     # {ones, xi} of the sub-block plane: E nu_hat = a * ones + b * xi.
-    e_nu = coupling_block @ nu_hat
+    e_nu = rp[:2, 2:] @ nu_hat
     a_coef = float(pi_q @ e_nu)
     b_coef = float((e_nu[0] - e_nu[1]) / (xi[0] - xi[1]))
     common = dict(
@@ -503,6 +446,7 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
         stationary_dom=pi_p,
         eigvec_lam=xi,
         eigvec_beta=nu_hat,
+        warnings=tuple(warnings),
     )
     base_rows = (
         ("mass", np.ones(4), 1.0),
@@ -510,61 +454,50 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
         ("sub_fluct", v2, s * lam),
     )
     repeated_s = abs(beta - s) <= REPEAT_TOL
-    repeated_slam = abs(beta - s * lam) <= REPEAT_TOL
-    if repeated_s or repeated_slam:
-        if repeated_s:
-            deficient = abs(a_coef) > REPEAT_TOL
-        else:
-            deficient = abs(b_coef) > REPEAT_TOL
-        if not deficient:
-            raise _NoMatch(
-                "dominant-block eigenvalue repeats one of the non-dominant "
-                "eigenvalues with a full eigenspace; no covered limit law"
-            )
-        if repeated_s:
-            # Generalized vector above the sub-total eigenvector: solve
-            # s(Q - I)u = -(b/a) xi, so u is a multiple of xi.
-            nu = nu_hat / a_coef
-            u = (b_coef / a_coef) / (s * (1.0 - lam)) * xi
-            t_cols = [v2, v1]
-            alpha = s * lam
-        else:
-            # Generalized vector above the sub-fluct eigenvector: solve
-            # s(Q - lam I)u = -(a/b) ones, so u is a multiple of ones.
-            nu = nu_hat / b_coef
-            u = -(a_coef / b_coef) / (s * (1.0 - lam)) * np.ones(2)
-            t_cols = [v1, v2]
-            alpha = s
-        t3 = _to_original([u[0], u[1], nu[0], nu[1]], perm, 4)
-        t = np.column_stack([t_cols[0], t_cols[1], t3, np.ones(4)])
-        j = np.array(
-            [
-                [alpha, 0.0, 0.0, 0.0],
-                [0.0, beta, 1.0, 0.0],
-                [0.0, 0.0, beta, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        klass = StructureClass(
-            family=Family.FOUR_BLOCK_JORDAN,
-            warnings=tuple(warnings),
-            jordan_basis_matrix=t,
-            jordan_form=j,
-            vectors=base_rows + (("dom_fluct", t3, None),),
+    if not repeated_s and abs(beta - s * lam) > REPEAT_TOL:
+        u = np.linalg.solve(beta * np.eye(2) - s * q, e_nu)
+        v3 = _to_original([u[0], u[1], nu_hat[0], nu_hat[1]], perm, 4)
+        return StructureClass(
+            family=Family.FOUR_BLOCK_DIAG,
+            vectors=base_rows + (("dom_fluct", v3, beta),),
             **common,
         )
-        _check_eigenpairs(spec, klass)
-        return klass
-    u = np.linalg.solve(beta * np.eye(2) - s * q, e_nu)
-    v3 = _to_original([u[0], u[1], nu_hat[0], nu_hat[1]], perm, 4)
-    klass = StructureClass(
-        family=Family.FOUR_BLOCK_DIAG,
-        warnings=tuple(warnings),
-        vectors=base_rows + (("dom_fluct", v3, beta),),
+    if repeated_s:
+        # Generalized vector above the sub-total eigenvector: solve
+        # s(Q - I)u = -(b/a) xi, so u is a multiple of xi.
+        pivot, other, u_dir = a_coef, b_coef, xi
+        t_cols = [v2, v1]
+        alpha = s * lam
+    else:
+        # Generalized vector above the sub-fluct eigenvector: solve
+        # s(Q - lam I)u = -(a/b) ones, so u is a multiple of ones.
+        pivot, other, u_dir = b_coef, -a_coef, np.ones(2)
+        t_cols = [v1, v2]
+        alpha = s
+    if abs(pivot) <= REPEAT_TOL:
+        raise _NoMatch(
+            "dominant-block eigenvalue repeats one of the non-dominant "
+            "eigenvalues with a full eigenspace; no covered limit law"
+        )
+    nu = nu_hat / pivot
+    u = (other / pivot) / (s * (1.0 - lam)) * u_dir
+    t3 = _to_original([u[0], u[1], nu[0], nu[1]], perm, 4)
+    t = np.column_stack([t_cols[0], t_cols[1], t3, np.ones(4)])
+    j = np.array(
+        [
+            [alpha, 0.0, 0.0, 0.0],
+            [0.0, beta, 1.0, 0.0],
+            [0.0, 0.0, beta, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return StructureClass(
+        family=Family.FOUR_BLOCK_JORDAN,
+        jordan_basis_matrix=t,
+        jordan_form=j,
+        vectors=base_rows + (("dom_fluct", t3, None),),
         **common,
     )
-    _check_eigenpairs(spec, klass)
-    return klass
 
 
 def _unsupported(spec: ReplacementSpec, k: int, reasons: list[str]) -> StructureClass:
@@ -585,28 +518,19 @@ def _unsupported(spec: ReplacementSpec, k: int, reasons: list[str]) -> Structure
     )
 
 
-def classify(spec: ReplacementSpec) -> StructureClass:
-    """Match the matrix to a supported family and compute its spectral data.
+_MATCHERS = {
+    2: (_match_two_irreducible, _match_two_triangular),
+    3: (_match_one_dominant, _match_two_dominant),
+    4: (_match_four_block,),
+}
 
-    The search tries color relabelings in lexicographic order and returns
-    the first match, so the canonical permutation is deterministic.  Raises
-    ValueError when the matrix fits a family but the initial composition
-    puts zero mass on every non-dominant color (the scaled tracks of such
-    models are degenerate), and for color counts outside 2..4.
-    """
+
+def _match(spec: ReplacementSpec) -> StructureClass:
     k = spec.colors
-    if k not in (2, 3, 4):
-        raise ValueError(f"classification supports 2 to 4 colors, got {k}")
     if float(np.abs(spec.matrix - np.eye(k)).max()) <= ZERO_TOL:
         return _identity_class(spec)
-    if k == 2:
-        return _classify_two(spec)
     reasons: list[str] = []
-    if k == 3:
-        matchers = (_match_one_dominant, _match_two_dominant)
-    else:
-        matchers = (_match_four_block,)
-    for matcher in matchers:
+    for matcher in _MATCHERS[k]:
         for perm in itertools.permutations(range(k)):
             try:
                 return matcher(spec, perm)
@@ -616,26 +540,20 @@ def classify(spec: ReplacementSpec) -> StructureClass:
     return _unsupported(spec, k, reasons)
 
 
-def jordan_basis(spec: ReplacementSpec, klass: StructureClass) -> tuple[np.ndarray, np.ndarray]:
-    """Return (T, J) with R T = T J verified to EIG_TOL.
+def classify(spec: ReplacementSpec) -> StructureClass:
+    """Match the matrix to a supported family and compute its spectral data.
 
-    Only valid for the two Jordan families; the basis columns are the ones
-    the classifier pinned (scales matter: downstream variance formulas are
-    stated for exactly these columns).
+    The search tries color relabelings in lexicographic order and returns
+    the first match, so the canonical permutation is deterministic.  Every
+    stored eigenpair and Jordan identity of the result is verified once, to
+    EIG_TOL.  Raises ValueError when the matrix fits a family but the
+    initial composition puts zero mass on every non-dominant color (the
+    scaled tracks of such models are degenerate), and for color counts
+    outside 2..4.
     """
-    if klass.family not in (
-        Family.THREE_TWO_DOMINANT_JORDAN,
-        Family.FOUR_BLOCK_JORDAN,
-    ):
-        raise ValueError(f"{klass.family.value} is not a Jordan family")
-    t = klass.jordan_basis_matrix
-    j = klass.jordan_form
-    if t is None or j is None:
-        raise ValueError("classification is missing its Jordan data")
-    residual = float(np.abs(spec.matrix @ t - t @ j).max())
-    if residual > EIG_TOL:
-        raise ValueError(
-            f"generalized-eigenvector identity fails (residual {residual!r}); "
-            "the classification does not describe this matrix"
-        )
-    return t.copy(), j.copy()
+    k = spec.colors
+    if k not in _MATCHERS:
+        raise ValueError(f"classification supports 2 to 4 colors, got {k}")
+    klass = _match(spec)
+    _check_eigenpairs(spec, klass)
+    return klass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplacementSpec, _validated_checkpoints, simulate_many
+from .core import ReplacementSpec, _integer, _validated_checkpoints, simulate_many
 from .laws import LawPrediction, LimitKind, pi_n
 
 __all__ = [
@@ -201,8 +201,8 @@ def run_ensemble(
     studentization and co-limit gaps read sibling tracks.  Identical inputs
     give an identical report.
     """
-    horizon = int(horizon)
-    ensemble = int(ensemble)
+    horizon = _integer(horizon, "horizon")
+    ensemble = _integer(ensemble, "ensemble")
     if horizon < MIN_HORIZON:
         raise ValueError(f"horizon must be at least {MIN_HORIZON}, got {horizon}")
     if ensemble < MIN_ENSEMBLE:

@@ -148,10 +148,7 @@ def test_compensated_martingale_check_catches_wrong_basis():
     spec = new_spec([[0.5, 0.45, 0.05], [0, 0.75, 0.25], [0, 0.25, 0.75]],
                     [0.5, 0.25, 0.25])
     klass = classify(spec)
-    from urnlab import jordan_basis
-
-    t, _ = jordan_basis(spec, klass)
-    wrong = t.copy()
+    wrong = klass.jordan_basis_matrix.copy()
     wrong[:, 1] = wrong[:, 1] * 1.01
     gap = compensated_martingale_check(spec, klass, 4, basis_matrix=wrong)
     assert gap > 1e-4

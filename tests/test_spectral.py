@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_laws import BRANCHES
 
-from urnlab import Family, classify, jordan_basis, new_spec
+from urnlab import Family, classify, new_spec
 from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
 
 TWO = [[0.7, 0.3], [0.4, 0.6]]
@@ -57,12 +57,10 @@ def test_eigenpair_2x2_rejects_identity():
 
 
 def test_stationary_2x2_frozen():
-    pi, aperiodic = stationary_2x2(np.array(TWO))
+    pi = stationary_2x2(np.array(TWO))
     assert pi.tolist() == pytest.approx([4 / 7, 3 / 7])
-    assert aperiodic
-    pi2, aperiodic2 = stationary_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pi2 = stationary_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert pi2.tolist() == pytest.approx([0.5, 0.5])
-    assert not aperiodic2
     with pytest.raises(ValueError):
         stationary_2x2(np.array(TRI))
 
@@ -202,16 +200,16 @@ def test_periodic_dominant_block_accepted_with_warning():
 def test_jordan_basis_identity_holds():
     spec = new_spec(FOUR_JORDAN, uniform(4))
     k = classify(spec)
-    t, j = jordan_basis(spec, k)
+    t, j = k.jordan_basis_matrix, k.jordan_form
     np.testing.assert_allclose(spec.matrix @ t, t @ j, atol=1e-10)
     off = np.argwhere(np.triu(j, 1) == 1.0)
     assert len(off) == 1
 
 
 def test_jordan_basis_refused_for_diagonalizable_families():
-    spec = new_spec(TWO, uniform(2))
-    with pytest.raises(ValueError):
-        jordan_basis(spec, classify(spec))
+    k = classify(new_spec(TWO, uniform(2)))
+    assert k.jordan_basis_matrix is None
+    assert k.jordan_form is None
 
 
 @settings(max_examples=40, deadline=None)

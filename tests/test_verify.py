@@ -93,8 +93,12 @@ def test_run_ensemble_guards():
     k = classify(TWO)
     with pytest.raises(ValueError, match="horizon"):
         run_ensemble(TWO, predict(k), horizon=10, ensemble=100)
+    with pytest.raises(ValueError, match="horizon is not an integer: 1000.9"):
+        run_ensemble(TWO, predict(k), horizon=1000.9, ensemble=100)
     with pytest.raises(ValueError, match="ensemble"):
         run_ensemble(TWO, predict(k), horizon=1000, ensemble=5)
+    with pytest.raises(ValueError, match="ensemble is not an integer: 100.5"):
+        run_ensemble(TWO, predict(k), horizon=1000, ensemble=100.5)
     with pytest.raises(ValueError, match="resource cap"):
         run_ensemble(TWO, predict(k), horizon=10**6, ensemble=10**6)
     with pytest.raises(ValueError, match="end at the horizon"):
