@@ -376,7 +376,7 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
         stationary_dom=pi_p,
         eigvec_lam=xi,
     )
-    rows = (("mass", np.ones(3), 1.0), ("minor", minor, s))
+    base_rows = (("mass", np.ones(3), 1.0), ("minor", minor, s))
     pxi = float(coupling @ xi)
     if abs(lam - s) > REPEAT_TOL:
         c = (1.0 - s) * pxi / (lam - s)
@@ -394,7 +394,7 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
             warnings=tuple(warnings),
             jordan_basis_matrix=t,
             jordan_form=np.array([[s, 1.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]),
-            vectors=rows + (("dom_fluct", t[:, 1].copy(), None),),
+            vectors=base_rows + (("dom_fluct", t[:, 1].copy(), None),),
             **common,
         )
     else:
@@ -410,7 +410,7 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
     return StructureClass(
         family=Family.THREE_TWO_DOMINANT_DIAG,
         warnings=tuple(warnings),
-        vectors=rows + (
+        vectors=base_rows + (
             ("dom_fluct", _to_original([c, xi[0], xi[1]], perm, 3), lam),
         ),
         **common,
