@@ -12,7 +12,6 @@ cli wires everything to JSON configs and artifact files.
 from .core import (
     EnsemblePaths,
     ReplacementSpec,
-    color_from_uniform,
     default_checkpoints,
     new_spec,
     simulate_many,
@@ -55,7 +54,6 @@ __all__ = [
     "__version__",
     "EnsemblePaths",
     "ReplacementSpec",
-    "color_from_uniform",
     "default_checkpoints",
     "new_spec",
     "simulate_many",

@@ -75,8 +75,9 @@ _CONFIG_DEFAULTS = {
 _ORACLE_TOL = 1e-9
 _ORACLE_MEAN_STEPS = 8
 _ORACLE_VARIANCE_STEPS = 6
-# Trajectories per joined block of sample-CSV text.
-_CSV_CHUNK = 1024
+# Sample-CSV lines (trajectories x checkpoints) per joined block of text;
+# a block always holds at least one trajectory.
+_CSV_LINES = 4096
 
 
 class ConfigError(Exception):
@@ -297,10 +298,11 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     Float cells hold repr of the Python float, formatted by _float_formatter;
     normalized_value is empty where the normalization is not finite, and
     z_value (empty when not finite) and U_hat are filled on the terminal
-    checkpoint line only.  Cells and lines are built over _CSV_CHUNK
-    trajectories at a time, the lines joined in C, so of the text and cells
-    only one chunk's, each column's distinct strings and the per-trajectory
-    z_value and U_hat cells are held.
+    checkpoint line only.  Cells and lines are built by _sample_chunks, at
+    most max(_CSV_LINES, C) lines at a time for C checkpoints, the lines
+    joined in C, so of the text and cells only one chunk's, each column's
+    distinct strings and the per-trajectory z_value and U_hat cells are
+    held, whatever the checkpoint grid.
     """
     written = []
     for i, outcome in enumerate(report.outcomes):
@@ -313,10 +315,12 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
 
 
 def _sample_chunks(report: EnsembleReport, outcome):
-    """Yield one prediction row's CSV lines, _CSV_CHUNK trajectories at a time.
+    """Yield one prediction row's CSV lines in chunks of whole trajectories.
 
-    The cells of the (ensemble, checkpoint) columns are built per chunk too,
-    so no whole column of cells is ever held.
+    A chunk holds max(1, _CSV_LINES // C) trajectories for C checkpoints,
+    so at most max(_CSV_LINES, C) lines.  The cells of the (ensemble,
+    checkpoint) columns are built per chunk too, so no whole column of cells
+    is ever held.
     """
     row = outcome.prediction
     cps = report.checkpoints
@@ -336,8 +340,9 @@ def _sample_chunks(report: EnsembleReport, outcome):
     if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
         u_cells = _float_cells(report.u_hats)
     last_tails = z_cells + "," + u_cells + "\n"
-    for lo in range(0, report.ensemble, _CSV_CHUNK):
-        hi = min(lo + _CSV_CHUNK, report.ensemble)
+    chunk = max(1, _CSV_LINES // cps.size)
+    for lo in range(0, report.ensemble, chunk):
+        hi = min(lo + chunk, report.ensemble)
         shape = (hi - lo, cps.size)
         ids = np.array(list(map(str, range(lo, hi))), dtype=object)
         norm_cells = format_normalized(normalized[lo:hi])

@@ -22,7 +22,7 @@ running prefix sums of the counts in colour order, colour i is drawn iff
 cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
 counts colour-major, as a (K, M) array over M trajectories, and forms cum by
 K-1 vector adds in colour order, so every rounding step matches
-np.cumsum(counts) and color_from_uniform.  The drawn colours become a one-hot
+np.cumsum(counts).  The drawn colours become a one-hot
 (K, M) matrix, and one matrix product with the transposed replacement matrix
 yields the drawn rows; every product in it is R * 0 = +0.0 or R * 1 = R, so
 the rows come out exact.
@@ -51,7 +51,6 @@ __all__ = [
     "ReplacementSpec",
     "EnsemblePaths",
     "new_spec",
-    "color_from_uniform",
     "default_checkpoints",
     "trajectory_rng",
     "simulate_many",
@@ -117,6 +116,7 @@ class EnsemblePaths:
 
     states has shape (M, C, K); tracks has shape (M, C, P) where P is the
     number of registered track vectors.  Trajectory m uses stream streams[m].
+    max_mass_drift is the largest |total mass - (n + 1)| over them all.
     """
 
     seed: int
@@ -125,6 +125,7 @@ class EnsemblePaths:
     states: np.ndarray
     track_vectors: np.ndarray
     tracks: np.ndarray
+    max_mass_drift: float
 
 
 def new_spec(matrix, initial) -> ReplacementSpec:
@@ -184,18 +185,6 @@ def new_spec(matrix, initial) -> ReplacementSpec:
     return ReplacementSpec(
         colors=k, matrix=_readonly(r + 0.0), initial=_readonly(c0 + 0.0)
     )
-
-
-def color_from_uniform(counts: np.ndarray, u: float) -> int:
-    """Map one uniform variate to a color by cumulative-sum inversion.
-
-    Color i is selected iff cum[i-1] <= u * total < cum[i], scanning colors
-    in index order.  Zero-count colors have zero-width intervals and are
-    never selected.
-    """
-    cum = np.cumsum(counts)
-    scaled = u * cum[-1]
-    return int(np.count_nonzero(cum[:-1] <= scaled))
 
 
 def default_checkpoints(horizon: int) -> np.ndarray:
@@ -387,19 +376,22 @@ def _generators(seed: int, stream_ids: np.ndarray, keys: np.ndarray) -> list:
             gc.enable()
 
 
-def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
+def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> float:
     """Run one pass of simulate_many: the trajectories of gens, whole horizon.
 
     Trajectory i draws from gens[i] through row i of u, this pass's rows of
     the uniforms block, and its checkpoints go to row i of states, this
     pass's rows of the ensemble's.  Each checkpoint is checked against the
-    mass law.  The generators are dropped when the pass returns.
+    mass law, and the largest drift is returned.  The generators are
+    dropped when the pass returns.
     """
     k, m = spec.colors, len(gens)
     # Colour-major working state: counts[j] holds colour j for every trajectory.
     counts = np.repeat(spec.initial[:, None], m, axis=1)
+    worst = np.float64(0.0)
 
     def record(n: int) -> None:
+        nonlocal worst
         at_n = states[:, cp_index[n], :]
         at_n[...] = counts.T
         drift = np.abs(at_n.sum(axis=1) - (n + 1.0)).max()
@@ -407,6 +399,7 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
             raise RuntimeError(
                 f"mass law violated at n={n}: max drift {drift!r}"
             )
+        worst = np.maximum(worst, drift)
 
     if 0 in cp_index:
         record(0)
@@ -443,6 +436,7 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> None:
             n += 1
             if n in cp_index:
                 record(n)
+    return float(worst)
 
 
 def simulate_many(
@@ -497,8 +491,9 @@ def simulate_many(
     so a stream's generator is called ceil(horizon / block) times.  Besides
     the (M, C, K) states and (M, C, P) tracks, memory is then the uniforms
     block plus one pass of generators.  Tracks are formed after the last
-    pass, over the whole ensemble.  batch_steps and the two bounds only
-    control memory and never change a value.
+    pass, over the whole ensemble, with the block released.  max_mass_drift
+    is the largest drift the passes' mass-law checks found.  batch_steps and
+    the two bounds only control memory and never change a value.
     """
     horizon = _checked_horizon(horizon)
     batch_steps = _integer(batch_steps, "batch_steps")
@@ -540,16 +535,19 @@ def simulate_many(
     # One uniforms block for the widest pass, allocated once: a block
     # reallocated per pass would come back from the heap, which glibc keeps.
     u = np.empty((width, min(batch_steps, horizon, cap)))
+    # Each pass's largest mass drift; np.max keeps a NaN, where max would not.
+    drifts = []
     for lo in range(0, m, width):
         hi = min(lo + width, m)
-        _simulate_pass(
+        drifts.append(_simulate_pass(
             spec,
             _generators(seed, stream_ids[lo:hi], keys[lo:hi]),
             u[: hi - lo],
             horizon,
             cp_index,
             states[lo:hi],
-        )
+        ))
+    del u
     # Tracks are formed over the whole ensemble, one contiguous (M, K)
     # checkpoint at a time, so they do not depend on the pass width: numpy
     # sends a one-row product to another BLAS routine than a wider one, and
@@ -564,5 +562,6 @@ def simulate_many(
         states=states,
         track_vectors=vt,
         tracks=tracks,
+        max_mass_drift=float(np.max(drifts)),
     )
 

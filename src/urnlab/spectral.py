@@ -229,6 +229,16 @@ def _minor_scale(rp: np.ndarray) -> float:
     return s
 
 
+# eigenpair_2x2's row-sum test, as a named refusal: new_spec lets row sums
+# differ by up to ROW_AGREEMENT_TOL, so a block of a valid spec can fail it.
+def _require_stochastic(block: np.ndarray, what: str) -> None:
+    if np.abs(block.sum(axis=1) - 1.0).max() > REPEAT_TOL:
+        raise _NoMatch(
+            f"block-triangular shape found but {what} rows do not sum to 1 "
+            "within REPEAT_TOL"
+        )
+
+
 def _require_irreducible(block: np.ndarray) -> None:
     if block[0, 1] <= ZERO_TOL or block[1, 0] <= ZERO_TOL:
         raise _NoMatch()
@@ -256,6 +266,9 @@ def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
             "non-dominant block alternates deterministically "
             "(non-principal eigenvalue -1); its embedded chain has no limit law"
         )
+    # Q's row sums are 1 -+ |s0 - s1| / (2 s), which exceeds REPEAT_TOL for
+    # masses within REPEAT_TOL of each other once s < 1/2.
+    _require_stochastic(q, "the scaled non-dominant block's")
     return s, q, lam
 
 
@@ -271,6 +284,7 @@ def _dominant_block(p: np.ndarray) -> tuple[float, list[str]]:
             "dominant block alternates deterministically; predictions built "
             "from its stationary distribution are unverified"
         )
+    _require_stochastic(p, "the dominant block's")
     return lam, warnings
 
 

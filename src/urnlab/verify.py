@@ -225,8 +225,6 @@ def run_ensemble(
         track_vectors=[r.vector for r in rows],
     )
     cps = paths.checkpoints
-    totals = paths.states.sum(axis=2)
-    max_mass_drift = float(np.abs(totals - (cps + 1.0)[None, :]).max())
 
     index = {r.label: i for i, r in enumerate(rows)}
     u_hats = None
@@ -323,7 +321,7 @@ def run_ensemble(
         variance_scale=float(variance_scale),
         checkpoints=cps,
         u_hats=u_hats,
-        max_mass_drift=max_mass_drift,
+        max_mass_drift=paths.max_mass_drift,
         outcomes=tuple(outcomes),
         track_values=paths.tracks,
         track_labels=tuple(r.label for r in rows),

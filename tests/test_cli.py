@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urnlab import LimitKind, classify, new_spec, predict
-from urnlab.cli import _float_cells, _terminal_z, _write_sample_csvs, main
+from urnlab import LimitKind, classify, cli, new_spec, predict, run_ensemble
+from urnlab.cli import _float_cells, _sample_chunks, _terminal_z, _write_sample_csvs, main
 from urnlab.verify import U_FLOOR, EnsembleReport, PredictionOutcome
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -339,9 +339,11 @@ def _hand_built_report():
 
 def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
     report, mixture = _hand_built_report()
-    for chunk in (1, 3, 1024):
-        monkeypatch.setattr("urnlab.cli._CSV_CHUNK", chunk)
-        out = tmp_path / str(chunk)
+    # Line budgets over 4 checkpoints: one trajectory per chunk, three (which
+    # do not divide the 4 trajectories), and the whole ensemble.
+    for budget in (1, 12, 4096):
+        monkeypatch.setattr("urnlab.cli._CSV_LINES", budget)
+        out = tmp_path / str(budget)
         out.mkdir()
         names = _write_sample_csvs(report, out)
         assert len(names) == len(report.outcomes)
@@ -351,3 +353,22 @@ def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
     lines = (out / mixture_csv).read_text().splitlines()
     terminal = [line.split(",") for line in lines if line.startswith("1,8,")]
     assert [cells[4:] for cells in terminal] == [["", "1e-13"]]
+
+
+@pytest.mark.parametrize("budget", [None, 1000, 100], ids=["default", "1000", "100"])
+def test_sample_chunks_stay_within_line_budget(monkeypatch, budget):
+    # 251 checkpoints: the default budget of 4096 lines takes 16 trajectories
+    # a chunk, 1000 takes 3, and 100, below one trajectory's lines, takes 1.
+    spec = new_spec(TWO["replacement_matrix"], TWO["initial_composition"])
+    rows = predict(classify(spec))
+    checkpoints = [*range(0, 1000, 4), 1000]
+    report = run_ensemble(spec, rows, horizon=1000, ensemble=100, seed=3,
+                          checkpoints=checkpoints)
+    if budget is not None:
+        monkeypatch.setattr("urnlab.cli._CSV_LINES", budget)
+    bound = max(cli._CSV_LINES, len(checkpoints))
+    for outcome in report.outcomes:
+        chunks = list(_sample_chunks(report, outcome))
+        assert max(chunk.count("\n") for chunk in chunks) <= bound
+        header = "trajectory_id,checkpoint_n,raw_value,normalized_value,z_value,U_hat\n"
+        assert header + "".join(chunks) == _reference_csv(report, outcome)

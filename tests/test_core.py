@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from urnlab import core
 from urnlab import (
-    color_from_uniform,
     default_checkpoints,
     new_spec,
     simulate_many,
@@ -28,6 +27,16 @@ FOUR = (
     ],
     [0.1, 0.2, 0.3, 0.4],
 )
+
+
+def color_from_uniform(counts: np.ndarray, u: float) -> int:
+    """Scalar reference of the draw rule: colour i is drawn iff
+    cum[i-1] <= u * total < cum[i], scanning colours in index order, for
+    cum = np.cumsum(counts).  Zero-count colours have zero-width intervals
+    and are never drawn."""
+    cum = np.cumsum(counts)
+    scaled = u * cum[-1]
+    return int(np.count_nonzero(cum[:-1] <= scaled))
 
 
 def test_new_spec_accepts_probability_rows():
@@ -362,6 +371,21 @@ def test_mass_law_exact_at_checkpoints():
     totals = paths.states.sum(axis=2)
     expect = paths.checkpoints + 1.0
     assert np.abs(totals - expect[None, :]).max() < 1e-10
+
+
+@pytest.mark.parametrize("pass_streams", [None, 1, 3], ids=["default", "bound1", "bound3"])
+def test_max_mass_drift_is_that_of_the_states(monkeypatch, pass_streams):
+    # The non-dyadic FOUR rows round, so the drift is not zero.  Stream 16
+    # drifts furthest and comes last: at a bound of 3 the passes are 3, 3
+    # and 1 streams wide, and only a maximum over every pass reaches it.
+    if pass_streams is not None:
+        monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
+    paths = simulate_many(new_spec(*FOUR), 300, 4, [1, 6, 10, 14, 17, 0, 16])
+    cps = paths.checkpoints
+    expected = float(np.abs(paths.states.sum(axis=2) - (cps + 1.0)).max())
+    assert expected > 0.0
+    assert type(paths.max_mass_drift) is float
+    assert paths.max_mass_drift.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("pass_streams", [None, 1], ids=["default", "bound1"])

@@ -197,6 +197,28 @@ def test_periodic_dominant_block_accepted_with_warning():
     assert any("alternates" in w for w in k.warnings)
 
 
+# Sub-block row masses 8e-10 apart at s = 1/4 put the rows of Q = block / s
+# 1.6e-9 from 1; the dominant-block rows of the second spec sum to
+# 1 + 1.0002e-9.  new_spec accepts both.
+@pytest.mark.parametrize(
+    "matrix, initial, block",
+    [
+        ([[0.1, 0.15, 0.75], [0.1 + 8e-10, 0.15, 0.75 - 8e-10], [0, 0, 1]],
+         [0.3, 0.3, 0.4], "the scaled non-dominant block's"),
+        ([[0.5 + (1.5e-12 - 1.0002e-9) / 2, 0.25, 0.25],
+          [0.0, 0.5 + 1.0002e-9, 0.5],
+          [0.0, 0.3, 0.7 + (1.5e-12 - 1.0002e-9) / 2]],
+         [0.4, 0.3, 0.3], "the dominant block's"),
+    ],
+    ids=["sub_block", "dominant_block"],
+)
+def test_block_off_stochastic_is_unsupported_by_name(matrix, initial, block):
+    k = classify(new_spec(matrix, initial))
+    assert k.family is Family.UNSUPPORTED
+    assert (f"block-triangular shape found but {block} rows do not sum to 1 "
+            "within REPEAT_TOL") in k.warnings
+
+
 def test_jordan_basis_identity_holds():
     spec = new_spec(FOUR_JORDAN, uniform(4))
     k = classify(spec)
