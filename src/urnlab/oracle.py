@@ -24,29 +24,37 @@ depends on C_m alone.  So the one-step residual is a function of the current
 composition, and that check runs on merged compositions too.
 
 A level is one (A, K) array of compositions and one (A,) array of
-probabilities.  Its children form one (A, K, K) array, their probabilities
-one product, and each check evaluates the whole level in numpy calls.  Only
-the pooling of children keeps a dict pass per level, because first-seen
-order fixes the order of the atoms.  Every result is bit-equal to the
-one-atom-at-a-time evaluation kept in the tests, by these rules:
+probabilities.  Its children form one (A, K, K) array and their
+probabilities one product.  Children are pooled in whole-array calls: a
+stable sort groups the rows rounded to 12 decimals, the groups keep the
+order of their first children, and np.bincount adds their probabilities.
+Each spec's tree is walked once: the levels are kept, read-only and in
+level order, in a memo of a few specs keyed on the bytes of the matrix and
+the initial composition.  A deeper n extends the walk and a shallower one
+reads a prefix of it.  exact_distribution, exact_mean_linear and both
+checks read that walk, and each check evaluates all levels 0..n-1 in one
+set of numpy calls, with per-atom level and pi arrays.  Every result is
+bit-equal to the one-atom-at-a-time evaluation kept in the tests, by these
+rules:
 
 - elementwise expressions keep their order of operations, such as
   (prob * counts) / total and counts / total * dz * dz;
 - each composition . vector product is one BLAS dot per row (_dot); a
   matrix-vector product or einsum sums in another order;
-- a scalar x ** 2 is libm pow, so its array form is np.float_power, not
-  ** 2, which multiplies;
+- a scalar x ** 2, such as pi_{k+1}(a) ** 2, is libm pow, so its array
+  form is np.float_power, not ** 2, which multiplies;
 - sums over colours and over atoms add left to right (cumsum), with a
   dead colour adding +0.0; np.sum may add pairwise;
 - np.bincount adds a pooled atom's probabilities in the order its
   children were seen;
+- exact_mean_linear adds over the atoms sorted by composition, the order
+  exact_distribution returns them in;
 - the worst residual skips NaN, as max() does (np.fmax).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -111,47 +119,99 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return terms.cumsum(axis=-1)[..., -1] + 0.0
 
 
-def _levels(spec: ReplacementSpec, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield merged levels 0..n as (A, K) compositions and (A,) probabilities.
+def _pool(children: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pool children whose compositions agree to 12 decimals.
 
-    A composition with a positive count of a colour has a child for it.
-    Children whose compositions agree to 12 decimals are pooled: the first
-    one seen, atom by atom and colour by colour, keeps its composition and
-    its place, and the probabilities are added in the order seen.
+    A stable sort of the rounded rows puts each group's first child first.
+    Each group keeps that child's composition, the groups keep the order of
+    their first children, and np.bincount adds a group's weights in child
+    order.
     """
-    counts = spec.initial[None, :].copy()
-    probs = np.ones(1)
-    yield counts, probs
-    for _ in range(n):
-        live = counts > 0.0
-        children = (counts[:, None, :] + spec.matrix)[live]
-        weights = ((probs[:, None] * counts) / counts.sum(axis=1)[:, None])[live]
-        # Each child maps to the index of the first child with its key.
-        first_seen: dict[tuple, int] = {}
-        owner = np.array([
-            first_seen.setdefault(key, i)
-            for i, key in enumerate(
-                map(tuple, np.round(children, _MERGE_DECIMALS).tolist())
-            )
-        ])
-        first = np.fromiter(first_seen.values(), dtype=np.intp, count=len(first_seen))
-        counts = children[first]
-        probs = np.bincount(owner, weights=weights)[first]
-        yield counts, probs
+    keys = np.round(children, _MERGE_DECIMALS)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    first = order[starts]
+    is_first = np.zeros(order.size, dtype=bool)
+    is_first[first] = True
+    # A group's place is the number of first children before its own.
+    place = (np.cumsum(is_first) - 1)[first]
+    owner = np.empty_like(order)
+    owner[order] = place[np.cumsum(starts) - 1]
+    return children[is_first], np.bincount(owner, weights=weights)
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# Specs whose walks are kept, least recently used first.  A CLI run needs
+# one and the oracle_caps benchmark four; a walk to MAX_ENUM_STEPS holds
+# about 0.07 MB (K = 4, full-rank R).
+_MEMO_SPECS = 8
+_WALKS: dict[tuple[bytes, bytes], list[tuple[np.ndarray, np.ndarray]]] = {}
+# Held while a walk is looked up and extended, so that two threads never
+# append the same level twice.
+_WALKS_LOCK = threading.Lock()
+
+
+def _walk(spec: ReplacementSpec, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The spec's merged levels 0..n at least, as read-only (counts, probs).
+
+    A level is (A, K) compositions and (A,) probabilities.  The walk comes
+    from the memo when it is there, and is extended when it is too short;
+    the key is the bytes of the matrix and the initial composition, so
+    specs one ulp apart get walks of their own.  A composition with a
+    positive count of a colour has a child for it, and _pool pools them.
+    """
+    key = (spec.matrix.tobytes(), spec.initial.tobytes())
+    with _WALKS_LOCK:
+        levels = _WALKS.pop(key, None) or [
+            (_frozen(spec.initial[None, :].copy()), _frozen(np.ones(1)))
+        ]
+        _WALKS[key] = levels
+        if len(_WALKS) > _MEMO_SPECS:
+            del _WALKS[next(iter(_WALKS))]
+        while len(levels) <= n:
+            counts, probs = levels[-1]
+            live = counts > 0.0
+            children = (counts[:, None, :] + spec.matrix)[live]
+            weights = ((probs[:, None] * counts) / counts.sum(axis=1)[:, None])[live]
+            levels.append(tuple(map(_frozen, _pool(children, weights))))
+        return levels
+
+
+def _level(spec: ReplacementSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level n's compositions and probabilities, sorted by composition."""
+    counts, probs = _walk(spec, n)[n]
+    order = np.lexsort(counts.T[::-1])
+    return counts[order], probs[order]
 
 
 def _steps(
     spec: ReplacementSpec, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (counts, live, share, children) for levels 0..n-1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, live, share, children, level) of every atom at levels 0..n-1.
 
-    live marks the colours each composition can draw, share is each
-    colour's draw probability counts / total, and children is the (A, K, K)
-    array of compositions after each draw.
+    The levels follow one another.  live marks the colours each
+    composition can draw, share is each colour's draw probability
+    counts / total, children is the (A, K, K) array of compositions after
+    each draw, and level is each atom's level.
     """
-    for counts, _ in islice(_levels(spec, n), n):
-        share = counts / counts.sum(axis=1)[:, None]
-        yield counts, counts > 0.0, share, counts[:, None, :] + spec.matrix
+    levels = _walk(spec, n)[:n]
+    # The empty block keeps n = 0 valid.
+    counts = np.concatenate([np.empty((0, spec.colors)), *(c for c, _ in levels)])
+    share = counts / counts.sum(axis=1)[:, None]
+    level = np.repeat(np.arange(n), [p.size for _, p in levels])
+    return counts, counts > 0.0, share, counts[:, None, :] + spec.matrix, level
+
+
+def _pis(a: float, n: int) -> np.ndarray:
+    """pi_k(a) for k = 0..n, indexed by level."""
+    return np.array([pi_n(a, k) for k in range(n + 1)])
 
 
 def exact_distribution(spec: ReplacementSpec, n: int) -> list[OutcomeAtom]:
@@ -159,14 +219,12 @@ def exact_distribution(spec: ReplacementSpec, n: int) -> list[OutcomeAtom]:
 
     Outcomes reaching the same composition (after rounding to 12 decimals)
     are pooled, so the list stays polynomial in n even though the tree is
-    exponential.  Sorted by composition for determinism.
+    exponential.  Sorted by composition for determinism.  The levels come
+    from the spec's memoized walk, which every check here shares.
     """
     n = _guard(spec, n, MAX_ENUM_STEPS)
-    for counts, probs in _levels(spec, n):
-        pass
-    atoms = list(map(OutcomeAtom, map(tuple, counts.tolist()), probs.tolist()))
-    atoms.sort(key=lambda atom: atom.counts)
-    return atoms
+    counts, probs = _level(spec, n)
+    return list(map(OutcomeAtom, map(tuple, counts.tolist()), probs.tolist()))
 
 
 def exact_mean_vector(spec: ReplacementSpec, n: int) -> np.ndarray:
@@ -189,18 +247,19 @@ def exact_mean_linear(spec: ReplacementSpec, vector, eigenvalue: float, n: int) 
 
     The caller compares the result against pi_n(eigenvalue) * (C_0 . v);
     the two routes are independent (tree walk vs closed-form product).
-    Raises ValueError when (vector, eigenvalue) is not an eigenpair of the
-    replacement matrix.
+    Raises ValueError when vector is not of shape (K,), or when
+    (vector, eigenvalue) is not an eigenpair of the replacement matrix,
+    a NaN in either included.
     """
     v = np.asarray(vector, dtype=float)
+    if v.shape != (spec.colors,):
+        raise ValueError(f"vector must have shape ({spec.colors},), got {v.shape}")
     residual = float(np.abs(spec.matrix @ v - float(eigenvalue) * v).max())
-    if residual > EIG_TOL:
+    if not residual <= EIG_TOL:
         raise ValueError(
             f"(vector, eigenvalue) is not an eigenpair (residual {residual!r})"
         )
-    atoms = exact_distribution(spec, n)
-    counts = np.array([atom.counts for atom in atoms])
-    probs = np.array([atom.probability for atom in atoms])
+    counts, probs = _level(spec, _guard(spec, n, MAX_ENUM_STEPS))
     return float(_sum_in_order(probs * _dot(counts, v)))
 
 
@@ -219,24 +278,27 @@ def exact_conditional_variance_check(
     tracks = [(v, a) for _, v, a in klass.vectors if a is not None]
     if not tracks:
         raise ValueError("class has no pure eigen-combination tracks")
-    pis = {(a, k): pi_n(a, k) for _, a in tracks for k in range(n + 1)}
+    counts, live, share, children, level = _steps(spec, n)
+    steps = level + 1.0
     worst = 0.0
-    for k, (counts, live, share, children) in enumerate(_steps(spec, n)):
-        for v, a in tracks:
-            cv = _dot(counts, v)
-            cv2 = _dot(counts, v * v)
-            z_now = cv / pis[(a, k)]
-            dz = _dot(children, v) / pis[(a, k + 1)] - z_now[:, None]
-            lhs = _sum_in_order(np.where(live, share * dz * dz, 0.0))
-            # float_power is libm pow, as the scalar ** it replaces; an
-            # array ** 2 multiplies, which can differ in the last bit.
-            rhs = (
-                a
-                * a
-                / pis[(a, k + 1)] ** 2
-                * (cv2 / (k + 1.0) - np.float_power(cv / (k + 1.0), 2))
-            )
-            worst = float(np.fmax.reduce(np.abs(lhs - rhs), initial=worst))
+    for v, a in tracks:
+        pis = _pis(a, n)
+        pi_next = pis[level + 1]
+        cv = _dot(counts, v)
+        cv2 = _dot(counts, v * v)
+        z_now = cv / pis[level]
+        dz = _dot(children, v) / pi_next[:, None] - z_now[:, None]
+        lhs = _sum_in_order(np.where(live, share * dz * dz, 0.0))
+        # float_power is libm pow, as the scalar ** of the per-atom
+        # reference; an array ** 2 multiplies, which can differ in the
+        # last bit.
+        rhs = (
+            a
+            * a
+            / np.float_power(pi_next, 2)
+            * (cv2 / steps - np.float_power(cv / steps, 2))
+        )
+        worst = float(np.fmax.reduce(np.abs(lhs - rhs), initial=worst))
     return worst
 
 
@@ -278,13 +340,11 @@ def compensated_martingale_check(
     gen_col = off[0] + 1
     t_gen = t[:, gen_col]
     t_top = t[:, off[0]]
-    a = float(j[gen_col, gen_col])
-    pis = [pi_n(a, k) for k in range(n + 1)]
-    worst = 0.0
-    for m, (counts, live, share, children) in enumerate(_steps(spec, n)):
-        x_now = _dot(counts, t_gen) / pis[m]
-        inc = _dot(counts, t_top) / ((m + 1.0) * pis[m + 1])
-        gain = _dot(children, t_gen) / pis[m + 1] - inc[:, None]
-        expect = _sum_in_order(np.where(live, share * gain, 0.0))
-        worst = float(np.fmax.reduce(np.abs(expect - x_now), initial=worst))
-    return worst
+    pis = _pis(float(j[gen_col, gen_col]), n)
+    counts, live, share, children, level = _steps(spec, n)
+    pi_next = pis[level + 1]
+    x_now = _dot(counts, t_gen) / pis[level]
+    inc = _dot(counts, t_top) / ((level + 1.0) * pi_next)
+    gain = _dot(children, t_gen) / pi_next[:, None] - inc[:, None]
+    expect = _sum_in_order(np.where(live, share * gain, 0.0))
+    return float(np.fmax.reduce(np.abs(expect - x_now), initial=0.0))

@@ -184,12 +184,16 @@ def _to_original(v_canonical, perm: tuple[int, ...], k: int) -> np.ndarray:
     return out
 
 
+def _pair_residual(r: np.ndarray, vec: np.ndarray, eig: float) -> float:
+    return float(np.abs(r @ vec - eig * vec).max())
+
+
 def _check_eigenpairs(spec: ReplacementSpec, klass: StructureClass) -> None:
     r = spec.matrix
     for label, vec, eig in klass.vectors:
         if eig is None:
             continue
-        residual = float(np.abs(r @ vec - eig * vec).max())
+        residual = _pair_residual(r, vec, eig)
         if residual > EIG_TOL:
             raise RuntimeError(
                 f"internal: stored pair for {label!r} has residual {residual!r}"
@@ -560,14 +564,26 @@ def classify(spec: ReplacementSpec) -> StructureClass:
     The search tries color relabelings in lexicographic order and returns
     the first match, so the canonical permutation is deterministic.  Every
     stored eigenpair and Jordan identity of the result is verified once, to
-    EIG_TOL.  Raises ValueError when the matrix fits a family but the
-    initial composition puts zero mass on every non-dominant color (the
-    scaled tracks of such models are degenerate), and for color counts
-    outside 2..4.
+    EIG_TOL; a matrix whose row sums miss 1 by more than EIG_TOL, which
+    new_spec accepts, is UNSUPPORTED with a reason naming them, because
+    the mass pair (ones, 1) cannot pass.  Raises ValueError when the matrix
+    fits a family but the initial composition puts zero mass on every
+    non-dominant color (the scaled tracks of such models are degenerate),
+    and for color counts outside 2..4.
     """
     k = spec.colors
     if k not in _MATCHERS:
         raise ValueError(f"classification supports 2 to 4 colors, got {k}")
     klass = _match(spec)
+    # new_spec lets row sums sit up to ROW_AGREEMENT_TOL apart, and the
+    # residual of the mass pair (ones, 1) is their distance from 1.
+    mass = [_pair_residual(spec.matrix, v, a) for label, v, a in klass.vectors
+            if label == "mass"]
+    if mass and not mass[0] <= EIG_TOL:
+        return _unsupported(spec, k, [
+            f"replacement row sums {spec.matrix.sum(axis=1).tolist()!r} are "
+            f"{mass[0]!r} from 1; the mass eigenpair needs them within "
+            f"EIG_TOL = {EIG_TOL!r}"
+        ])
     _check_eigenpairs(spec, klass)
     return klass

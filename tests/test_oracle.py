@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from urnlab import (
     pi_n,
     predict,
 )
+from urnlab import oracle
 from urnlab.oracle import MAX_ENUM_STEPS
 
 TRI = new_spec([[0.5, 0.5], [0.0, 1.0]], [0.5, 0.5])
@@ -444,3 +446,120 @@ def test_squared_mean_rounds_as_the_reference_does(x):
     assert _hex(exact_conditional_variance_check(spec, klass, 1)) == _hex(
         ref.conditional_variance(spec, [(v, 1.0)], 1)
     )
+
+
+@pytest.mark.parametrize(
+    "vector, eigenvalue, match",
+    [
+        ([np.nan, 1.0], 1.0, "not an eigenpair"),
+        ([1.0, 1.0], np.nan, "not an eigenpair"),
+        ([1.0], 1.0, r"vector must have shape \(2,\), got \(1,\)"),
+    ],
+    ids=["nan_vector", "nan_eigenvalue", "short_vector"],
+)
+def test_exact_mean_linear_refuses_nan_and_misshapen_vectors(vector, eigenvalue, match):
+    cfg = json.loads((ROOT / "configs" / "two_color.json").read_text())
+    spec = new_spec(cfg["replacement_matrix"], cfg["initial_composition"])
+    with pytest.raises(ValueError, match=match):
+        exact_mean_linear(spec, vector, eigenvalue, 3)
+
+
+def _fresh_memo(monkeypatch) -> list:
+    """Give the test an empty walk memo; return a list with one entry per level built."""
+    monkeypatch.setattr(oracle, "_WALKS", {})
+    builds = []
+    pool = oracle._pool
+
+    def counted(children, weights):
+        builds.append(len(children))
+        return pool(children, weights)
+
+    monkeypatch.setattr(oracle, "_pool", counted)
+    return builds
+
+
+def test_oracle_caps_sequence_builds_each_level_once(monkeypatch):
+    builds = _fresh_memo(monkeypatch)
+    specs = [spec for name, spec in _pinned_specs() if name.startswith("config:")]
+    for spec in [*specs, J4_BETA_HALF]:
+        klass = classify(spec)
+        before = len(builds)
+        exact_distribution(spec, 12)
+        for row in predict(klass):
+            if row.martingale_eigenvalue is not None:
+                exact_mean_linear(spec, row.vector, row.martingale_eigenvalue, 12)
+        exact_conditional_variance_check(spec, klass, 12)
+        if klass.jordan_form is not None:
+            compensated_martingale_check(spec, klass, 9)
+            compensated_martingale_check(spec, klass, 6)
+        assert len(builds) - before == 12
+
+
+def _outputs_at(spec, klass, n) -> list[str]:
+    """float.hex of every oracle output for spec at n."""
+    out = [_hex(x) for atom in exact_distribution(spec, n)
+           for x in (*atom.counts, atom.probability)]
+    out += [_hex(exact_mean_linear(spec, row.vector, row.martingale_eigenvalue, n))
+            for row in predict(klass) if row.martingale_eigenvalue is not None]
+    out.append(_hex(exact_conditional_variance_check(spec, klass, n)))
+    for basis in (None, _scaled_generalized_basis(klass, 1.01)):
+        out.append(_hex(
+            compensated_martingale_check(spec, klass, n, basis_matrix=basis)
+        ))
+    return out
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations((6, 9, 12))))
+def test_results_do_not_depend_on_the_order_n_is_asked_in(monkeypatch, order):
+    _fresh_memo(monkeypatch)
+    klass = classify(J4_BETA_HALF)
+    got = {n: _outputs_at(J4_BETA_HALF, klass, n) for n in order}
+    for n in (6, 9, 12):
+        oracle._WALKS.clear()
+        assert got[n] == _outputs_at(J4_BETA_HALF, klass, n)
+
+
+def test_cached_walk_arrays_are_read_only(monkeypatch):
+    _fresh_memo(monkeypatch)
+    for n in (4, 8):
+        exact_distribution(J3, n)
+        (walk,) = oracle._WALKS.values()
+        assert len(walk) == n + 1
+        for x in (x for level in walk for x in level):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = 0.0
+
+
+def test_a_spec_one_ulp_away_gets_its_own_walk(monkeypatch):
+    builds = _fresh_memo(monkeypatch)
+    matrix, initial = np.array(J4_BETA_HALF.matrix), np.array(J4_BETA_HALF.initial)
+    matrix[0, 0] = np.nextafter(matrix[0, 0], 1.0)
+    initial[0] = np.nextafter(initial[0], 1.0)
+    exact_distribution(J4_BETA_HALF, 5)
+    for other in (new_spec(matrix, J4_BETA_HALF.initial),
+                  new_spec(J4_BETA_HALF.matrix, initial)):
+        assert (other.matrix.tobytes(), other.initial.tobytes()) != (
+            J4_BETA_HALF.matrix.tobytes(), J4_BETA_HALF.initial.tobytes())
+        before = len(builds)
+        atoms = exact_distribution(other, 5)
+        assert len(builds) - before == 5
+        assert [_bits((*a.counts, a.probability)) for a in atoms] == [
+            _bits((*counts, prob)) for counts, prob in ref.distribution(other, 5)
+        ]
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    _fresh_memo(monkeypatch)
+    seen = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_sparse_urns(), n=st.integers(0, 4))
+    def run(spec, n):
+        exact_distribution(spec, n)
+        seen.add((spec.matrix.tobytes(), spec.initial.tobytes()))
+        assert len(oracle._WALKS) <= oracle._MEMO_SPECS
+
+    run()
+    # Otherwise the run never asked the memo to hold more than its bound.
+    assert len(seen) > oracle._MEMO_SPECS

@@ -219,6 +219,26 @@ def test_block_off_stochastic_is_unsupported_by_name(matrix, initial, block):
             "within REPEAT_TOL") in k.warnings
 
 
+# new_spec accepts row sums up to ROW_AGREEMENT_TOL = 1e-9 apart and leaves
+# them 1 -+ spread / 2, while the mass pair (ones, 1) is held to EIG_TOL.
+@pytest.mark.parametrize(
+    "spread, supported", [(8e-10, False), (3e-10, False), (1e-10, True)]
+)
+def test_rows_off_one_beyond_eig_tol_are_unsupported_by_name(spread, supported):
+    spec = new_spec([[0.7, 0.3 + spread], [0.4, 0.6]], [0.5, 0.5])
+    k = classify(spec)
+    if supported:
+        assert k.family is Family.TWO_IRREDUCIBLE
+        return
+    assert k.family is Family.UNSUPPORTED
+    residual = float(np.abs(spec.matrix @ np.ones(2) - 1.0).max())
+    assert k.warnings == (
+        f"replacement row sums {spec.matrix.sum(axis=1).tolist()!r} are "
+        f"{residual!r} from 1; the mass eigenpair needs them within "
+        "EIG_TOL = 1e-10",
+    )
+
+
 def test_jordan_basis_identity_holds():
     spec = new_spec(FOUR_JORDAN, uniform(4))
     k = classify(spec)
