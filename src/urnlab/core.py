@@ -20,12 +20,16 @@ against about 35 us through SeedSequence.
 Draw rule: with u the trajectory's next uniform variate in [0, 1) and cum the
 running prefix sums of the counts in colour order, colour i is drawn iff
 cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
-counts colour-major, as a (K, M) array over M trajectories, and forms cum by
-K-1 vector adds in colour order, so every rounding step matches
-np.cumsum(counts).  The drawn colours become a one-hot
-(K, M) matrix, and one matrix product with the transposed replacement matrix
-yields the drawn rows; every product in it is R * 0 = +0.0 or R * 1 = R, so
-the rows come out exact.
+its state colour-major, as a (K, M) array over M trajectories, and takes one
+of two steps, chosen once per call.  The general step holds the counts and
+forms cum by K-1 vector adds in colour order, so every rounding step matches
+np.cumsum(counts); the drawn colours become a one-hot (K, M) matrix, and one
+matrix product with the transposed replacement matrix yields the drawn
+rows.  Nine numpy calls a step at K=4.  The exact step serves dyadic models,
+whose entries are multiples of some 2**-p (two of the three shipped
+configs): while every sum stays below 2**53 * 2**-p no add rounds, so it
+carries cum itself, total row included, and adds row c of cumsum(R) to it
+in four calls a step.  Both give the same bits.
 
 An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
 the whole horizon with only its own generators alive, so the generators
@@ -376,14 +380,40 @@ def _generators(seed: int, stream_ids: np.ndarray, keys: np.ndarray) -> list:
             gc.enable()
 
 
-def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> float:
+def _exact_prefix_sums(spec: ReplacementSpec, horizon: int) -> bool:
+    """Whether every prefix sum of a run to horizon is exact in float64.
+
+    True when the entries of spec.matrix and spec.initial are non-negative
+    integer multiples of some 2**-p, and K * 2**p * max(mass, 2 * rows) <
+    2**53, with rows the largest row sum and mass = sum(initial) + horizon
+    * rows the largest total a run reaches; for a new_spec model that is
+    (horizon + 1) * 2**p * K < 2**53.  Every count, prefix sum and partial
+    sum the exact step forms is then a multiple of 2**-p below 2**53 * 2**-p,
+    so it is a double and no add rounds.
+    """
+    values = np.concatenate([spec.matrix.ravel(), spec.initial])
+    if not values.min() >= 0.0:
+        return False
+    rows = float(spec.matrix.sum(axis=1).max())
+    bound = spec.colors * max(float(spec.initial.sum()) + horizon * rows, 2 * rows)
+    p = 0
+    while bound * 2.0**p < 2.0**53:
+        scaled = values * 2.0**p
+        if np.array_equal(scaled, np.floor(scaled)):
+            return True
+        p += 1
+    return False
+
+
+def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
     """Run one pass of simulate_many: the trajectories of gens, whole horizon.
 
     Trajectory i draws from gens[i] through row i of u, this pass's rows of
     the uniforms block, and its checkpoints go to row i of states, this
     pass's rows of the ensemble's.  Each checkpoint is checked against the
     mass law, and the largest drift is returned.  The generators are
-    dropped when the pass returns.
+    dropped when the pass returns.  exact selects the exact step, which
+    carries the prefix sums in place of the counts (see simulate_many).
     """
     k, m = spec.colors, len(gens)
     # Colour-major working state: counts[j] holds colour j for every trajectory.
@@ -392,6 +422,10 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> float:
 
     def record(n: int) -> None:
         nonlocal worst
+        if exact:
+            # Differences of exact prefix sums, so the counts are exact.
+            counts[0] = cum[0]
+            np.subtract(cum[1:], cum[:-1], out=counts[1:])
         at_n = states[:, cp_index[n], :]
         at_n[...] = counts.T
         drift = np.abs(at_n.sum(axis=1) - (n + 1.0)).max()
@@ -401,41 +435,63 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states) -> float:
             )
         worst = np.maximum(worst, drift)
 
+    scaled = np.empty(m)
+    add = np.empty((k, m))
+    if exact:
+        cum = np.cumsum(counts, axis=0)
+        # e[j] = (cum[j-1] <= scaled) for j = 1..K-1 under e[0] = 1: ones up
+        # to the drawn colour c.  Column j of d_rows is row j of cumsum(R)
+        # less row j-1, so d_rows @ e telescopes to row c of cumsum(R).
+        e = np.ones((k, m))
+        e_head = e[1:]
+        d_rows = np.ascontiguousarray(
+            np.diff(np.cumsum(spec.matrix, axis=1), axis=0, prepend=0.0).T
+        )
+    else:
+        rows_t = np.ascontiguousarray(spec.matrix.T)
+        cum = np.empty((k, m))
+        # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True
+        # and ext[K] = False; the one adjacent pair that differs marks the
+        # drawn colour.
+        ext = np.empty((k + 1, m), dtype=bool)
+        ext[0] = True
+        ext[k] = False
+        one_hot = np.empty((k, m))
+        # Views the step loop uses, built once.
+        cum_first, counts_first = cum[0], counts[0]
+        prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
+        ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
+    cum_head, cum_total = cum[: k - 1], cum[k - 1]
     if 0 in cp_index:
         record(0)
-    rows_t = np.ascontiguousarray(spec.matrix.T)
-    cum = np.empty((k, m))
-    scaled = np.empty(m)
-    # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True and
-    # ext[K] = False; the one adjacent pair that differs marks the drawn colour.
-    ext = np.empty((k + 1, m), dtype=bool)
-    ext[0] = True
-    ext[k] = False
-    one_hot = np.empty((k, m))
-    add = np.empty((k, m))
-    # Views the step loop uses, built once.
-    cum_first, counts_first = cum[0], counts[0]
-    prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
-    cum_head, cum_total = cum[: k - 1], cum[k - 1]
-    ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
     n = 0
     while n < horizon:
         # Every stream refills its row of the block; each step reads a column.
         ub = u[:, : min(u.shape[1], horizon - n)]
         for g, row in zip(gens, ub):
             g.random(out=row)
-        for column in ub.T:
-            np.copyto(cum_first, counts_first)
-            for prev, row, out in prefix_adds:
-                np.add(prev, row, out=out)
-            np.multiply(column, cum_total, out=scaled)
-            np.less_equal(cum_head, scaled, out=ext_head)
-            np.not_equal(ext_upper, ext_lower, out=one_hot)
-            np.matmul(rows_t, one_hot, out=add)
-            counts += add
-            n += 1
-            if n in cp_index:
-                record(n)
+        if exact:
+            for column in ub.T:
+                np.multiply(column, cum_total, out=scaled)
+                np.less_equal(cum_head, scaled, out=e_head)
+                np.matmul(d_rows, e, out=add)
+                cum += add
+                n += 1
+                if n in cp_index:
+                    record(n)
+        else:
+            for column in ub.T:
+                np.copyto(cum_first, counts_first)
+                for prev, row, out in prefix_adds:
+                    np.add(prev, row, out=out)
+                np.multiply(column, cum_total, out=scaled)
+                np.less_equal(cum_head, scaled, out=ext_head)
+                np.not_equal(ext_upper, ext_lower, out=one_hot)
+                np.matmul(rows_t, one_hot, out=add)
+                counts += add
+                n += 1
+                if n in cp_index:
+                    record(n)
     return float(worst)
 
 
@@ -462,13 +518,16 @@ def simulate_many(
 
     Every step draws one colour per trajectory by the module's draw rule,
     colour i iff cum[i-1] <= u * cum[K-1] < cum[i], and adds that colour's
-    replacement row.  The counts are held colour-major as (K, M) and cum is
-    built by K-1 vector adds in colour order, the same adds as np.cumsum.
+    replacement row.  Which step runs is decided once, by
+    _exact_prefix_sums(spec, horizon); no argument selects it.
 
-    A step is four calls after the prefix sums: the comparison
-    cum[:K-1] <= u * cum[K-1] fills rows 1..K-1 of a bool (K+1, M) buffer
-    whose row 0 is True and row K False; adjacent rows that differ give a
-    float one-hot (K, M) matrix; R.T @ one_hot is the drawn rows; one add.
+    The general step holds the counts colour-major as (K, M) and builds cum
+    by a copy and K-1 vector adds in colour order, the same adds as
+    np.cumsum.  Five calls follow, nine in all at K=4: the product
+    u * cum[K-1]; the comparison cum[:K-1] <= u * cum[K-1] fills rows
+    1..K-1 of a bool (K+1, M) buffer whose row 0 is True and row K False;
+    adjacent rows that differ give a float one-hot (K, M) matrix;
+    R.T @ one_hot is the drawn rows; one add.
     This returns exactly the row the count of Trues selects:
 
     - counts are >= 0, so the float prefix sums never decrease and every
@@ -480,6 +539,32 @@ def simulate_many(
       multiply-add;
     - the one value this could change is the sign of a zero (-0.0 + +0.0 is
       +0.0), and new_spec stores no -0.0.
+
+    The exact step runs when every entry of R and C_0 is a non-negative
+    multiple of 2**-p and (horizon + 1) * 2**p * K < 2**53 (for a new_spec
+    model; _exact_prefix_sums gives the general bound).  It holds cum
+    itself as (K, M), total row cum[K-1] included, and a step is four
+    calls:
+
+    - scaled = u * cum[K-1], the same product of the same values as the
+      general step's;
+    - cum[:K-1] <= scaled into rows 1..K-1 of a float mask e whose row 0 is
+      1.0, so column m reads 1 at rows 0..c and 0 below, c the drawn colour;
+    - add = D @ e, with D = diff(cumsum(R, axis=1), axis=0, prepend=0).T:
+      column j of D is row j of cumsum(R) less row j-1, so the sum
+      telescopes to row c of cumsum(R);
+    - cum += add.
+
+    Every count, every prefix sum and every partial sum of D @ e is then a
+    multiple of 2**-p below 2**53 * 2**-p, which a double holds exactly:
+    no add rounds, in any BLAS order, with or without fused multiply-add.
+    No -0.0 arises: exact sums that cancel give +0.0, a sum is -0.0 only
+    if all its terms are, and the term cumsum(R)[0, j] * 1 never is.
+    So cum equals the np.cumsum of the general step's counts, bit for bit,
+    the comparison sees the same operands, and the same colour is drawn.
+    At checkpoints the counts are cum[0] and the differences of adjacent
+    rows of cum, exact too, so states, tracks and max_mass_drift are those
+    of the general step, and the mass-law check reads the same sums.
 
     The M streams run in the fewest passes of at most PASS_STREAMS, all W
     wide but the last.  A pass builds its generators, runs the whole
@@ -537,6 +622,7 @@ def simulate_many(
     u = np.empty((width, min(batch_steps, horizon, cap)))
     # Each pass's largest mass drift; np.max keeps a NaN, where max would not.
     drifts = []
+    exact = _exact_prefix_sums(spec, horizon)
     for lo in range(0, m, width):
         hi = min(lo + width, m)
         drifts.append(_simulate_pass(
@@ -546,6 +632,7 @@ def simulate_many(
             horizon,
             cp_index,
             states[lo:hi],
+            exact,
         ))
     del u
     # Tracks are formed over the whole ensemble, one contiguous (M, K)

@@ -27,6 +27,17 @@ FOUR = (
     ],
     [0.1, 0.2, 0.3, 0.4],
 )
+# Dyadic four-colour spec (configs/four_color_jordan.json): multiples of 1/8,
+# so simulate_many takes the exact step.
+FOUR_DYADIC = (
+    [
+        [0.25, 0.25, 0.375, 0.125],
+        [0.25, 0.25, 0.125, 0.375],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.0, 0.0, 0.5, 0.5],
+    ],
+    [0.25, 0.25, 0.25, 0.25],
+)
 
 
 def color_from_uniform(counts: np.ndarray, u: float) -> int:
@@ -148,26 +159,36 @@ def test_simulate_many_batch_size_is_invisible():
 @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 4])
 def test_uniform_block_byte_bound_is_invisible(monkeypatch, block_bytes):
     # 1 byte still leaves one step per block; 96 bytes give 3 steps at M=4.
-    spec = new_spec(*FOUR)
+    # FOUR takes the general step and FOUR_DYADIC the exact one.
     vectors = [[0.3, -0.1, 0.7, 0.2]]
-    a = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
-    monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", block_bytes)
-    b = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
-    assert a.states.tolist() == b.states.tolist()
-    assert a.tracks.tolist() == b.tracks.tolist()
+    for model in (FOUR, FOUR_DYADIC):
+        spec = new_spec(*model)
+        with monkeypatch.context() as patch:
+            a = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
+            patch.setattr(core, "UNIFORM_BLOCK_BYTES", block_bytes)
+            b = simulate_many(spec, 500, 2, 4, track_vectors=vectors)
+        assert a.states.tolist() == b.states.tolist()
+        assert a.tracks.tolist() == b.tracks.tolist()
 
 
 @pytest.mark.parametrize("streams", [7, [0, 4, 2**40, 9, 5]], ids=["count", "list"])
 @pytest.mark.parametrize("pass_streams", [1, 3])
 def test_pass_bound_is_invisible(monkeypatch, pass_streams, streams):
     # At a bound of 3, 7 streams run as passes of 3, 3 and 1, and 5 as 3 and 2.
-    spec = new_spec(*FOUR)
+    # FOUR takes the general step and FOUR_DYADIC the exact one.
     vectors = [[0.3, -0.1, 0.7, 0.2]]
-    a = simulate_many(spec, 300, 2, streams, track_vectors=vectors, batch_steps=64)
-    monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
-    b = simulate_many(spec, 300, 2, streams, track_vectors=vectors, batch_steps=64)
-    assert a.states.tolist() == b.states.tolist()
-    assert a.tracks.tolist() == b.tracks.tolist()
+    for model in (FOUR, FOUR_DYADIC):
+        spec = new_spec(*model)
+        with monkeypatch.context() as patch:
+            a = simulate_many(
+                spec, 300, 2, streams, track_vectors=vectors, batch_steps=64
+            )
+            patch.setattr(core, "PASS_STREAMS", pass_streams)
+            b = simulate_many(
+                spec, 300, 2, streams, track_vectors=vectors, batch_steps=64
+            )
+        assert a.states.tolist() == b.states.tolist()
+        assert a.tracks.tolist() == b.tracks.tolist()
 
 
 def test_at_most_pass_bound_of_generators_alive(monkeypatch):
@@ -253,11 +274,12 @@ def test_uniforms_block_bounds_traced_memory():
     assert peak < 10 * 10**6
 
 
-# sha256 of simulate_many states and tracks on non-dyadic models.  They pin
-# which uniform each step consumes, the colour it selects and the row added.
-# A change that only re-rounds the prefix sums (say, scaling by n + 1 instead
-# of the float total) flips a draw with probability near 1e-13 per draw, so
-# these digests cannot see it; the kernel keeps np.cumsum's adds instead.
+# sha256 of simulate_many states and tracks, on non-dyadic models (the
+# general step) and dyadic ones (the exact step).  They pin which uniform each
+# step consumes, the colour it selects and the row added.  A change that only
+# re-rounds the prefix sums (say, scaling by n + 1 instead of the float total)
+# flips a draw with probability near 1e-13 per draw, so these digests cannot
+# see it; the general step keeps np.cumsum's adds instead.
 GOLDEN = {
     "two_color": (
         ([[0.7, 0.3], [0.4, 0.6]], [0.5714285714285714, 0.4285714285714286]),
@@ -280,6 +302,38 @@ GOLDEN = {
         11,
         "e48ae1e82b1509997a824102267d8f5c3ab19300efec700964785f79f61606a0",
         "287cf117dc4c86d5a4bee6ffd8b1e23aab430663c31855bccaca1aff008517fa",
+    ),
+    "two_dyadic": (
+        ([[0.75, 0.25], [0.5, 0.5]], [0.5, 0.5]),
+        [[1.0, 1.0], [0.25, -0.5]],
+        3,
+        "ed67d8f5cd844262c7b34bfedad08906d0b1e82dc466e34a2f7b938c980eb09c",
+        "d020663cf37cb1a0bdb6ffb9028ea44f5af41e6cb8e00df501b2008391ebf322",
+    ),
+    # Dyadic with a colour that starts at zero.
+    "three_dyadic_zero": (
+        ([[0.5, 0.375, 0.125], [0.0, 0.75, 0.25], [0.0, 0.25, 0.75]], [0.25, 0.75, 0.0]),
+        [[1.0, 0.0, 0.0], [0.1, 0.7, -0.3]],
+        5,
+        "9d9fc886dd93f493cbc836d6560c90159ebc1f5ef15f142b7cbe47d1bc923736",
+        "e2fe1be4395de4ffce5ae8e1d4a8823cc5197706ba7959dcbed35e5516698555",
+    ),
+    "three_color_mixture": (
+        (
+            [[0.3125, 0.1875, 0.5], [0.1875, 0.3125, 0.5], [0.0, 0.0, 1.0]],
+            [0.25, 0.25, 0.5],
+        ),
+        [[1.0, -1.0, 0.0], [0.2, 0.3, 0.5]],
+        42,
+        "3315fc39cb41500c7e05cc5b8e61bdcdcc66337907fdb32cf071460c744d947d",
+        "4ebb1938cf40d753452c44e0181e4e3bfc911525e9b7b461f9e2cc08763ff291",
+    ),
+    "four_color_jordan": (
+        FOUR_DYADIC,
+        [[0.3, -0.1, 0.7, 0.2]],
+        7,
+        "e791f7ec170c558dbee10be219ab479d1606728c5c05c456b67942ef0197a97c",
+        "94a8ba587e7fb7349c8d362ce7645352729d026ea778125577df5cdc5280abfc",
     ),
 }
 
@@ -394,6 +448,20 @@ def test_mass_law_violation_is_named(monkeypatch, pass_streams):
     # 1e-6 a trial, a thousand times the allowed MASS_DRIFT_PER_TRIAL.
     matrix = np.array([[0.7, 0.3 + 1e-6], [0.4, 0.6 + 1e-6]])
     spec = core.ReplacementSpec(colors=2, matrix=matrix, initial=np.array([0.5, 0.5]))
+    if pass_streams is not None:
+        monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
+    with pytest.raises(RuntimeError, match=r"mass law violated at n=1: max drift"):
+        simulate_many(spec, 100, 3, 5)
+
+
+@pytest.mark.parametrize("pass_streams", [None, 1], ids=["default", "bound1"])
+def test_mass_law_violation_is_named_on_the_exact_step(monkeypatch, pass_streams):
+    # Dyadic rows summing to 1 + 2**-10, built without new_spec: the exact
+    # step carries the total as a prefix sum, and the check must still see
+    # it drift by 2**-10 a trial.
+    matrix = np.array([[0.75, 0.25 + 2**-10], [0.5, 0.5 + 2**-10]])
+    spec = core.ReplacementSpec(colors=2, matrix=matrix, initial=np.array([0.5, 0.5]))
+    assert core._exact_prefix_sums(spec, 100)
     if pass_streams is not None:
         monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
     with pytest.raises(RuntimeError, match=r"mass law violated at n=1: max drift"):
@@ -634,3 +702,59 @@ def test_collector_paused_for_generator_build_only(monkeypatch, was_enabled):
     finally:
         gc.enable() if enabled else gc.disable()
     assert seen == [False, False, False]
+
+
+def test_exact_prefix_sums_predicate():
+    assert not core._exact_prefix_sums(new_spec(*FOUR), 1)
+    # configs/two_color.json: 0.7 is no multiple of a power of two we can use.
+    assert not core._exact_prefix_sums(new_spec(*GOLDEN["two_color"][0]), 1)
+    assert core._exact_prefix_sums(new_spec(*FOUR_DYADIC), 50000)
+    # Multiples of 2**-2 at K = 2: (horizon + 1) * 4 * 2 must stay below 2**53.
+    spec = new_spec([[0.75, 0.25], [0.5, 0.5]], [0.5, 0.5])
+    assert core._exact_prefix_sums(spec, 2**50 - 2)
+    assert not core._exact_prefix_sums(spec, 2**50 - 1)
+    # Rows summing to 2 are halved and stay dyadic; rows summing to 3 do not.
+    halved = new_spec([[1.5, 0.5], [1.0, 1.0]], [0.5, 0.5])
+    assert halved.matrix.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+    assert core._exact_prefix_sums(halved, 1000)
+    thirds = new_spec([[1.5, 1.5], [1.0, 2.0]], [0.5, 0.5])
+    assert not core._exact_prefix_sums(thirds, 1000)
+
+
+@st.composite
+def _dyadic_models(draw):
+    # Rows and initial composition with entries in multiples of 2**-p that sum
+    # to exactly 1; cut points that coincide give zero entries.
+    k = draw(st.integers(2, 4))
+    unit = 2 ** draw(st.integers(0, 10))
+    cuts = st.lists(st.integers(0, unit), min_size=k - 1, max_size=k - 1)
+
+    def composition():
+        edges = [0, *sorted(draw(cuts)), unit]
+        return [(b - a) / unit for a, b in zip(edges, edges[1:])]
+
+    return [composition() for _ in range(k)], composition()
+
+
+@pytest.mark.parametrize("pass_streams", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    model=_dyadic_models(),
+    horizon=st.integers(1, 300),
+    seed=st.integers(0, 2**31),
+    streams=st.lists(st.integers(0, 2**40), min_size=1, max_size=7, unique=True),
+)
+def test_exact_step_matches_general_step(pass_streams, model, horizon, seed, streams):
+    spec = new_spec(*model)
+    assert core._exact_prefix_sums(spec, horizon)
+    vectors = [[0.3, -0.1, 0.7, 0.2][: spec.colors]]
+    kwargs = {"checkpoints": np.arange(horizon + 1), "track_vectors": vectors}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "PASS_STREAMS", pass_streams)
+        patch.setattr(core, "UNIFORM_BLOCK_BYTES", 1)
+        exact = simulate_many(spec, horizon, seed, streams, **kwargs)
+        patch.setattr(core, "_exact_prefix_sums", lambda spec, horizon: False)
+        general = simulate_many(spec, horizon, seed, streams, **kwargs)
+    assert exact.states.tobytes() == general.states.tobytes()
+    assert exact.tracks.tobytes() == general.tracks.tobytes()
+    assert exact.max_mass_drift.hex() == general.max_mass_drift.hex()

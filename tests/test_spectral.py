@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_laws import BRANCHES
 
-from urnlab import Family, classify, new_spec
+from urnlab import Family, classify, new_spec, spectral
 from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
 
 TWO = [[0.7, 0.3], [0.4, 0.6]]
@@ -237,6 +237,45 @@ def test_rows_off_one_beyond_eig_tol_are_unsupported_by_name(spread, supported):
         f"{residual!r} from 1; the mass eigenpair needs them within "
         "EIG_TOL = 1e-10",
     )
+
+
+# Rows within EIG_TOL of 1 still fail a pair or the Jordan identity once the
+# closed-form basis scales their slack: row 0 of four_jordan_below summing
+# to 1 + 2e-11 (Jordan residual 1.25e-10), and an R[0, 1] of two_dom_half
+# 1.4e-10 high (dom_fluct residual 1.4e-10).
+@pytest.mark.parametrize(
+    "matrix, initial, failure",
+    [
+        ([[0.3 + 2e-11, 0.1, 0.5, 0.1], [0.1, 0.3, 0.3, 0.3],
+          [0, 0, 0.7, 0.3], [0, 0, 0.3, 0.7]], uniform(4),
+         "the Jordan identity has residual "),
+        ([[0.5, 0.2500000001399935, 0.25], [0, 0.75, 0.25], [0, 0.25, 0.75]],
+         [0.5, 0.25, 0.25], "the stored pair for 'dom_fluct' has residual "),
+    ],
+    ids=["jordan_identity", "dom_fluct"],
+)
+def test_rows_off_one_within_eig_tol_are_unsupported_by_name(matrix, initial, failure):
+    spec = new_spec(matrix, initial)
+    k = classify(spec)
+    assert k.family is Family.UNSUPPORTED
+    (reason,) = k.warnings
+    sums = spec.matrix.sum(axis=1).tolist()
+    head = f"replacement row sums {sums!r} miss 1, and {failure}"
+    assert reason.startswith(head)
+    assert reason.endswith("; classification needs it within EIG_TOL = 1e-10")
+    residual = float(reason[len(head):].split(";")[0])
+    assert 1e-10 < residual < 2e-10
+
+
+def test_failed_identity_on_exactly_stochastic_rows_stays_internal(monkeypatch):
+    # Rows summing to exactly 1 leave a failed check no excuse.
+    failure = "Jordan identity has residual 1.0"
+    monkeypatch.setattr(spectral, "_eigen_failure", lambda spec, klass: failure)
+    spec = new_spec(FOUR_JORDAN, uniform(4))
+    assert spec.matrix.sum(axis=1).tolist() == [1.0] * 4
+    with pytest.raises(RuntimeError) as raised:
+        classify(spec)
+    assert str(raised.value) == f"internal: {failure}"
 
 
 def test_jordan_basis_identity_holds():
