@@ -51,7 +51,6 @@ from .oracle import (
 from .spectral import StructureClass, classify
 from .verify import (
     DEFAULT_MAX_DRAWS,
-    U_FLOOR,
     EnsembleReport,
     ReportVerdict,
     VerdictPolicy,
@@ -332,10 +331,9 @@ def _sample_chunks(report: EnsembleReport, outcome):
     blank_norm = ~np.isfinite(norm)
     format_raw, format_normalized = _float_formatter(raw), _float_formatter(normalized)
     z_cells = np.full(report.ensemble, "", dtype=object)
-    z_at_terminal = _terminal_z(report, outcome)
-    if z_at_terminal is not None:
-        z_cells = _float_cells(z_at_terminal)
-        z_cells[~np.isfinite(z_at_terminal)] = ""
+    if outcome.z_sample is not None:
+        z_cells = _float_cells(outcome.z_sample)
+        z_cells[~np.isfinite(outcome.z_sample)] = ""
     u_cells = np.full(report.ensemble, "", dtype=object)
     if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
         u_cells = _float_cells(report.u_hats)
@@ -357,25 +355,6 @@ def _sample_chunks(report: EnsembleReport, outcome):
             tails,
         )
         yield "".join(map(",".join, zip(*(c.ravel().tolist() for c in columns))))
-
-
-def _terminal_z(report: EnsembleReport, outcome) -> np.ndarray | None:
-    """Per-trajectory terminal z values aligned with trajectory ids.
-
-    Mixture rows re-expand the studentized sample over the kept mask so
-    dropped trajectories show an empty cell instead of a shifted value.
-    """
-    row = outcome.prediction
-    if outcome.z_sample is None:
-        return None
-    if row.limit_kind is LimitKind.NORMAL:
-        return outcome.z_sample
-    if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
-        full = np.full(report.ensemble, np.nan)
-        keep = report.u_hats >= U_FLOOR
-        full[keep] = outcome.z_sample
-        return full
-    return None
 
 
 def _outcome_lines(report: EnsembleReport) -> list[str]:

@@ -135,10 +135,13 @@ class EnsemblePaths:
 def new_spec(matrix, initial) -> ReplacementSpec:
     """Validate a replacement matrix and initial composition.
 
-    All rows must share a common sum.  A common sum c != 1 is divided out,
-    since only the row direction matters to the dynamics once mass growth
-    is uniform.  The initial composition must be a probability vector.
-    Negative zeros in either are stored as +0.0.
+    All rows must share a common sum, to within ROW_AGREEMENT_TOL.  When any
+    row misses 1 by more than ROW_SUM_TOL, each row is divided by its own
+    sum, since only the row direction matters to the dynamics once mass
+    growth is uniform; the stored rows then sum to 1 to rounding, which is
+    the mass law classify and the closed forms assume.  The initial
+    composition must be a probability vector.  Negative zeros in either are
+    stored as +0.0.
     """
     r = np.array(matrix, dtype=float)
     c0 = np.array(initial, dtype=float)
@@ -177,8 +180,8 @@ def new_spec(matrix, initial) -> ReplacementSpec:
         )
     if common <= ROW_AGREEMENT_TOL:
         raise ValueError("replacement rows sum to zero")
-    if abs(common - 1.0) > ROW_SUM_TOL:
-        r = r / common
+    if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
+        r = r / sums[:, None]
     total0 = float(c0.sum())
     if abs(total0 - 1.0) > ROW_SUM_TOL:
         raise ValueError(

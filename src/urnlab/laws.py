@@ -46,15 +46,21 @@ _PRODUCT_LIMIT = 1000
 
 
 def pi_n(a: float, n: int) -> float:
-    """prod_{j=0}^{n-1} (1 + a/(j+1)) for a > -1, n >= 0."""
+    """prod_{j=0}^{n-1} (1 + a/(j+1)) for a >= -1, n >= 0.
+
+    At a = -1 the j = 0 factor is 0, so the product is exactly 0 for n >= 1:
+    E[C_n . v] for R v = -v.
+    """
     a = float(a)
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if a <= -1.0:
-        raise ValueError(f"requires eigenvalue > -1, got {a!r}")
-    if a == 0.0:
+    if a < -1.0:
+        raise ValueError(f"requires eigenvalue >= -1, got {a!r}")
+    if a == 0.0 or n == 0:
         return 1.0
+    if a == -1.0:
+        return 0.0
     if n <= _PRODUCT_LIMIT:
         out = 1.0
         for j in range(n):
@@ -65,10 +71,12 @@ def pi_n(a: float, n: int) -> float:
 
 
 def euler_ratio(a: float, n: int) -> float:
-    """pi_n(a) * Gamma(a+1) / n^a; tends to 1 as n grows."""
+    """pi_n(a) * Gamma(a+1) / n^a for a > -1; tends to 1 as n grows."""
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if float(a) <= -1.0:
+        raise ValueError(f"requires eigenvalue > -1, got {float(a)!r}")
     return pi_n(a, n) * math.gamma(float(a) + 1.0) / float(n) ** float(a)
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import ReplacementSpec, _integer
 from .laws import pi_n
-from .spectral import EIG_TOL, StructureClass
+from .spectral import REPEAT_TOL, StructureClass, _pair_residual
 
 __all__ = [
     "MAX_ENUM_STEPS",
@@ -248,16 +248,18 @@ def exact_mean_linear(spec: ReplacementSpec, vector, eigenvalue: float, n: int) 
     The caller compares the result against pi_n(eigenvalue) * (C_0 . v);
     the two routes are independent (tree walk vs closed-form product).
     Raises ValueError when vector is not of shape (K,), or when
-    (vector, eigenvalue) is not an eigenpair of the replacement matrix,
-    a NaN in either included.
+    (vector, eigenvalue) is not an eigenpair of the replacement matrix to
+    classify's relative REPEAT_TOL, a zero vector or a NaN in either
+    included.
     """
     v = np.asarray(vector, dtype=float)
     if v.shape != (spec.colors,):
         raise ValueError(f"vector must have shape ({spec.colors},), got {v.shape}")
-    residual = float(np.abs(spec.matrix @ v - float(eigenvalue) * v).max())
-    if not residual <= EIG_TOL:
+    residual = _pair_residual(spec.matrix, v, float(eigenvalue) * v)
+    if not residual <= REPEAT_TOL:
         raise ValueError(
-            f"(vector, eigenvalue) is not an eigenpair (residual {residual!r})"
+            f"(vector, eigenvalue) is not an eigenpair (relative residual "
+            f"{residual!r})"
         )
     counts, probs = _level(spec, _guard(spec, n, MAX_ENUM_STEPS))
     return float(_sum_in_order(probs * _dot(counts, v)))
@@ -272,10 +274,13 @@ def exact_conditional_variance_check(
     conditional-variance identity are evaluated on every enumerated
     composition at levels 0..n-1; the largest absolute gap is returned.
     Generalized-eigenvector tracks have no such identity and are skipped
-    (compensated_martingale_check covers them).
+    (compensated_martingale_check covers them), as are tracks whose
+    eigenvalue classify counts as -1 (within REPEAT_TOL): Z_k = C_k . v / pi_k
+    is undefined once pi_k = 0 at k = 1, and near it pi_1 = 1 + a is noise.
     """
     n = _guard(spec, n, MAX_ENUM_STEPS)
-    tracks = [(v, a) for _, v, a in klass.vectors if a is not None]
+    tracks = [(v, a) for _, v, a in klass.vectors
+              if a is not None and a > -1.0 + REPEAT_TOL]
     if not tracks:
         raise ValueError("class has no pure eigen-combination tracks")
     counts, live, share, children, level = _steps(spec, n)

@@ -9,9 +9,19 @@ blocks, and a Jordan basis when the matrix is not diagonalizable.
 All 2x2 spectra are in closed form: for a stochastic block
 [[1-a, a], [b, 1-b]] the non-principal eigenvalue is 1-a-b, its right
 eigenvector is proportional to (a, -b), and the stationary distribution is
-(b, a)/(a+b).  No general eigensolver is involved.  Every stored
-eigenpair and Jordan identity is verified once, to EIG_TOL, before classify
-returns.
+(b, a)/(a+b).  No general eigensolver is involved.
+
+One tolerance, REPEAT_TOL, governs both what classify admits and what it
+verifies.  Structure is admitted with REPEAT_TOL of slack: sub-block row
+masses, eigenvalue coincidences and open-interval margins.  A four-color
+Jordan column's residual is the eigenvalue gap plus the sub-block masses'
+distance from their mean, so a repeat there spends both from one
+REPEAT_TOL.  Each 2x2 block is divided by its own row sums before its closed
+form is taken, so the closed forms never see row-sum slack.  Every stored
+eigenpair (v, a) is then checked relative to its size,
+|Rv - av|_inf / |v|_inf <= REPEAT_TOL, and a Jordan identity RT = TJ column
+by column the same way.  A check that fails after admission is a fault in
+this module, not a property of the input.
 """
 from __future__ import annotations
 
@@ -26,7 +36,6 @@ from .core import ReplacementSpec
 __all__ = [
     "ZERO_TOL",
     "REPEAT_TOL",
-    "EIG_TOL",
     "Family",
     "StructureClass",
     "normalize_eigvec",
@@ -37,10 +46,9 @@ __all__ = [
 
 # Entries at or below this count as structural zeros.
 ZERO_TOL = 1e-12
-# Eigenvalue coincidence and open-interval margins for scale parameters.
+# Structural slack (eigenvalue coincidence, equal sub-block masses,
+# open-interval margins) and the relative residual every stored pair meets.
 REPEAT_TOL = 1e-9
-# Max residual allowed in stored eigenpair / Jordan identities.
-EIG_TOL = 1e-10
 
 
 class Family(Enum):
@@ -184,25 +192,32 @@ def _to_original(v_canonical, perm: tuple[int, ...], k: int) -> np.ndarray:
     return out
 
 
-def _pair_residual(r: np.ndarray, vec: np.ndarray, eig: float) -> float:
-    return float(np.abs(r @ vec - eig * vec).max())
+def _pair_residual(r: np.ndarray, vec: np.ndarray, image: np.ndarray) -> float:
+    """|r @ vec - image|_inf / |vec|_inf: the residual of a stored pair
+    relative to its vector's size; image is eig * vec, or T J's column.
+    NaN when vec is zero or anything is NaN."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.abs(r @ vec - image).max() / np.abs(vec).max())
 
 
 def _eigen_failure(spec: ReplacementSpec, klass: StructureClass) -> str | None:
-    """The first stored eigenpair or Jordan identity off by more than EIG_TOL,
-    named with its residual, or None when all of them hold."""
+    """The first stored eigenpair or Jordan column whose relative residual
+    exceeds REPEAT_TOL, named with it, or None when all of them hold."""
     r = spec.matrix
     for label, vec, eig in klass.vectors:
         if eig is None:
             continue
-        residual = _pair_residual(r, vec, eig)
-        if residual > EIG_TOL:
-            return f"stored pair for {label!r} has residual {residual!r}"
+        residual = _pair_residual(r, vec, eig * vec)
+        if not residual <= REPEAT_TOL:
+            return f"stored pair for {label!r} has relative residual {residual!r}"
     if klass.jordan_basis_matrix is not None:
-        t, j = klass.jordan_basis_matrix, klass.jordan_form
-        residual = float(np.abs(r @ t - t @ j).max())
-        if residual > EIG_TOL:
-            return f"Jordan identity has residual {residual!r}"
+        t = klass.jordan_basis_matrix
+        tj = t @ klass.jordan_form
+        for col in range(t.shape[1]):
+            residual = _pair_residual(r, t[:, col], tj[:, col])
+            if not residual <= REPEAT_TOL:
+                return (f"Jordan identity column {col} has relative residual "
+                        f"{residual!r}")
     return None
 
 
@@ -232,24 +247,15 @@ def _minor_scale(rp: np.ndarray) -> float:
     return s
 
 
-# eigenpair_2x2's row-sum test, as a named refusal: new_spec lets row sums
-# differ by up to ROW_AGREEMENT_TOL, so a block of a valid spec can fail it.
-def _require_stochastic(block: np.ndarray, what: str) -> None:
-    if np.abs(block.sum(axis=1) - 1.0).max() > REPEAT_TOL:
-        raise _NoMatch(
-            f"block-triangular shape found but {what} rows do not sum to 1 "
-            "within REPEAT_TOL"
-        )
-
-
 def _require_irreducible(block: np.ndarray) -> None:
     if block[0, 1] <= ZERO_TOL or block[1, 0] <= ZERO_TOL:
         raise _NoMatch()
 
 
 def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(s, Q, lam) for the leading 2x2 block: its common row mass s,
-    Q = block / s and Q's non-principal eigenvalue.  Q must be irreducible
+    """(s, Q, lam) for the leading 2x2 block: its row masses s0 and s1,
+    equal within REPEAT_TOL, their mean s, Q = the block with each row divided
+    by its own mass, and Q's non-principal eigenvalue.  Q must be irreducible
     and aperiodic."""
     s0 = float(rp[0, :2].sum())
     s1 = float(rp[1, :2].sum())
@@ -261,7 +267,7 @@ def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
             "block-triangular shape found but the non-dominant block's row "
             "mass is 0 or 1; scaled limits need it strictly inside (0, 1)"
         )
-    q = rp[:2, :2] / s
+    q = rp[:2, :2] / np.array([[s0], [s1]])
     _require_irreducible(q)
     lam = float(q[0, 0] + q[1, 1] - 1.0)
     if lam <= -1.0 + REPEAT_TOL:
@@ -269,16 +275,14 @@ def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
             "non-dominant block alternates deterministically "
             "(non-principal eigenvalue -1); its embedded chain has no limit law"
         )
-    # Q's row sums are 1 -+ |s0 - s1| / (2 s), which exceeds REPEAT_TOL for
-    # masses within REPEAT_TOL of each other once s < 1/2.
-    _require_stochastic(q, "the scaled non-dominant block's")
     return s, q, lam
 
 
-def _dominant_block(p: np.ndarray) -> tuple[float, list[str]]:
-    """(lam, warnings) for an irreducible dominant 2x2 block with
-    non-principal eigenvalue lam.  A periodic block is accepted with a
-    warning."""
+def _dominant_block(block: np.ndarray) -> tuple[np.ndarray, float, list[str]]:
+    """(P, lam, warnings) for an irreducible dominant 2x2 block: P is the
+    block with each row divided by its own sum, lam P's non-principal
+    eigenvalue.  A periodic block is accepted with a warning."""
+    p = block / block.sum(axis=1, keepdims=True)
     _require_irreducible(p)
     lam = float(p[0, 0] + p[1, 1] - 1.0)
     warnings: list[str] = []
@@ -287,8 +291,7 @@ def _dominant_block(p: np.ndarray) -> tuple[float, list[str]]:
             "dominant block alternates deterministically; predictions built "
             "from its stationary distribution are unverified"
         )
-    _require_stochastic(p, "the dominant block's")
-    return lam, warnings
+    return p, lam, warnings
 
 
 def _require_minor_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
@@ -378,8 +381,7 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
     if rp[1, 0] > ZERO_TOL or rp[2, 0] > ZERO_TOL:
         raise _NoMatch()
     s = _minor_scale(rp)
-    p_block = rp[1:, 1:]
-    lam, warnings = _dominant_block(p_block)
+    p_block, lam, warnings = _dominant_block(rp[1:, 1:])
     _require_minor_mass(spec, perm)
     _, xi = eigenpair_2x2(p_block)
     pi_p = stationary_2x2(p_block)
@@ -439,8 +441,7 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
     if float(np.abs(rp[2:, :2]).max()) > ZERO_TOL:
         raise _NoMatch()
     s, q, lam = _sub_block(rp)
-    p_block = rp[2:, 2:]
-    beta, warnings = _dominant_block(p_block)
+    p_block, beta, warnings = _dominant_block(rp[2:, 2:])
     _require_sub_mass(spec, perm)
     _, xi = eigenpair_2x2(q)
     pi_q = stationary_2x2(q)
@@ -470,8 +471,11 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
         ("sub_total", v1, s),
         ("sub_fluct", v2, s * lam),
     )
-    repeated_s = abs(beta - s) <= REPEAT_TOL
-    if not repeated_s and abs(beta - s * lam) > REPEAT_TOL:
+    # A Jordan column's residual reaches the eigenvalue gap plus the distance
+    # of the sub-block row masses from s, so the two share one REPEAT_TOL.
+    slack = float(np.abs(rp[:2, :2].sum(axis=1) - s).max())
+    repeated_s = abs(beta - s) + slack <= REPEAT_TOL
+    if not repeated_s and abs(beta - s * lam) + slack > REPEAT_TOL:
         u = np.linalg.solve(beta * np.eye(2) - s * q, e_nu)
         v3 = _to_original([u[0], u[1], nu_hat[0], nu_hat[1]], perm, 4)
         return StructureClass(
@@ -561,44 +565,23 @@ def classify(spec: ReplacementSpec) -> StructureClass:
     """Match the matrix to a supported family and compute its spectral data.
 
     The search tries color relabelings in lexicographic order and returns
-    the first match, so the canonical permutation is deterministic.  Every
-    stored eigenpair and Jordan identity of the result is verified once, to
-    EIG_TOL; a matrix whose row sums miss 1 by more than EIG_TOL, which
-    new_spec accepts, is UNSUPPORTED with a reason naming them, because
-    the mass pair (ones, 1) cannot pass.  When rows closer to 1 still leave
-    another pair or the Jordan identity beyond EIG_TOL, the result is
-    UNSUPPORTED with a reason naming it, its residual and the row sums;
-    on rows that sum to exactly 1 that is an internal fault and raises
-    RuntimeError.  Raises ValueError when the matrix
-    fits a family but the initial composition puts zero mass on every
-    non-dominant color (the scaled tracks of such models are degenerate),
-    and for color counts outside 2..4.
+    the first match, so the canonical permutation is deterministic.  One
+    contract holds from admission to verification: structure is admitted
+    with REPEAT_TOL of slack, each 2x2 block is divided by its own row sums,
+    and every stored eigenpair and Jordan column of the result is then
+    checked to REPEAT_TOL relative to its vector's size.  Admitted structure
+    that fails that check is a fault here and raises RuntimeError("internal:
+    ...").  Shapes outside the covered families are UNSUPPORTED, with
+    reasons.  Raises ValueError when the matrix fits a family but the
+    initial composition puts zero mass on every non-dominant color (the
+    scaled tracks of such models are degenerate), and for color counts
+    outside 2..4.
     """
     k = spec.colors
     if k not in _MATCHERS:
         raise ValueError(f"classification supports 2 to 4 colors, got {k}")
     klass = _match(spec)
-    # new_spec lets row sums sit up to ROW_AGREEMENT_TOL apart, and the
-    # residual of the mass pair (ones, 1) is their distance from 1.
-    mass = [_pair_residual(spec.matrix, v, a) for label, v, a in klass.vectors
-            if label == "mass"]
-    if mass and not mass[0] <= EIG_TOL:
-        return _unsupported(spec, k, [
-            f"replacement row sums {spec.matrix.sum(axis=1).tolist()!r} are "
-            f"{mass[0]!r} from 1; the mass eigenpair needs them within "
-            f"EIG_TOL = {EIG_TOL!r}"
-        ])
     failure = _eigen_failure(spec, klass)
-    if failure is None:
-        return klass
-    # The closed forms assume rows that sum to 1, and a basis entry of size b
-    # turns row-sum slack d into a residual near b * d, so rows well inside
-    # EIG_TOL of 1 can still fail a pair or the Jordan identity.  Rows that
-    # sum to 1 exactly leave no such excuse.
-    sums = spec.matrix.sum(axis=1)
-    if np.all(sums == 1.0):
+    if failure is not None:
         raise RuntimeError(f"internal: {failure}")
-    return _unsupported(spec, k, [
-        f"replacement row sums {sums.tolist()!r} miss 1, and the {failure}; "
-        f"classification needs it within EIG_TOL = {EIG_TOL!r}"
-    ])
+    return klass

@@ -86,11 +86,12 @@ def studentize(
 ) -> tuple[np.ndarray, int]:
     """Scale normalized terminal values to unit predicted variance.
 
-    Returns (z, dropped).  Normal tracks divide by the predicted standard
-    deviation; mixture tracks divide per trajectory by
-    sqrt(coefficient * u_hat) and drop trajectories with u_hat below
-    U_FLOOR.  variance_scale multiplies the predicted variance and exists
-    so callers can show that a wrong variance is caught; leave it at 1.
+    Returns (z, dropped), z aligned with the sample.  Normal tracks divide
+    by the predicted standard deviation; mixture tracks divide per
+    trajectory by sqrt(coefficient * u_hat) and drop trajectories with u_hat
+    below U_FLOOR, whose z is NaN.  variance_scale multiplies the predicted
+    variance and exists so callers can show that a wrong variance is caught;
+    leave it at 1.
     """
     x = np.asarray(sample, dtype=float)
     if prediction.limit_kind is LimitKind.NORMAL:
@@ -112,7 +113,8 @@ def studentize(
                 f"track {prediction.label!r} has no positive mixture coefficient"
             )
         keep = u >= U_FLOOR
-        z = x[keep] / np.sqrt(coef * u[keep])
+        z = np.full(x.shape, np.nan)
+        z[keep] = x[keep] / np.sqrt(coef * u[keep])
         return z, int(x.size - keep.sum())
     raise ValueError(
         f"track {prediction.label!r} is not a (mixture-)normal track"
@@ -130,6 +132,7 @@ class PredictionOutcome:
     sample_variance: float
     expected_mean: float | None
     mean_se: float
+    # Studentized terminal values by trajectory id, NaN where dropped.
     z_sample: np.ndarray | None = None
     dropped: int = 0
     ks_stat: float | None = None
@@ -260,8 +263,9 @@ def run_ensemble(
             z, dropped = studentize(normalized, row, u_hats, variance_scale)
             fields["z_sample"] = z
             fields["dropped"] = dropped
-            if z.size >= 50:
-                d, p = ks_standard_normal(z)
+            kept = z[~np.isnan(z)]
+            if kept.size >= 50:
+                d, p = ks_standard_normal(kept)
                 fields["ks_stat"] = d
                 fields["ks_pvalue"] = p
         if row.limit_kind is LimitKind.AS_RANDOM_VARIABLE:
@@ -390,7 +394,7 @@ def _mean_check(outcome: PredictionOutcome, policy: VerdictPolicy) -> CheckResul
 def _ks_check(outcome: PredictionOutcome, coeff: float, name: str) -> CheckResult:
     if outcome.ks_stat is None:
         return CheckResult(name, False, "sample too small for a KS comparison")
-    m = outcome.z_sample.size
+    m = outcome.z_sample.size - outcome.dropped
     threshold = coeff * 1.36 / math.sqrt(m)
     extra = f", dropped {outcome.dropped}" if outcome.dropped else ""
     return CheckResult(

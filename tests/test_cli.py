@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_laws import BRANCHES
 
 from urnlab import LimitKind, classify, cli, new_spec, predict, run_ensemble
-from urnlab.cli import _float_cells, _sample_chunks, _terminal_z, _write_sample_csvs, main
+from urnlab.cli import _float_cells, _sample_chunks, _write_sample_csvs, main
 from urnlab.verify import U_FLOOR, EnsembleReport, PredictionOutcome
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -134,6 +135,29 @@ def test_all_runs_oracle_and_verify(tmp_path, capsys):
     assert "OVERALL PASS" in out
     verdicts = (tmp_path / "out" / "verdicts.txt").read_text()
     assert "conditional-variance" in verdicts
+
+
+# A periodic dominant block gives dom_fluct the eigenvalue -1, whose exact
+# mean pi_n(-1) * (C_0 . v) is 0 from n = 1 on; within REPEAT_TOL of -1
+# classify counts the block as periodic too.
+PERIODIC = {
+    **{name: BRANCHES[name][:2] for name in ("two_dom_periodic", "four_diag_periodic")},
+    "near_periodic": ([[0.5, 0.25, 0.25], [0, 2e-10, 1 - 2e-10], [0, 1 - 2e-10, 2e-10]],
+                      [0.5, 0.25, 0.25]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["oracle-check", "all"])
+@pytest.mark.parametrize("name", list(PERIODIC))
+def test_periodic_dominant_block_gets_a_verdict(tmp_path, capsys, name, command):
+    matrix, initial = PERIODIC[name]
+    cfg = {"replacement_matrix": matrix, "initial_composition": initial,
+           "horizon": 1000, "ensemble": 200, "seed": 5}
+    code = run(tmp_path, command, cfg)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, ""), out
+    assert "OVERALL PASS" in out
 
 
 def test_unknown_config_key_exits_three(tmp_path, capsys):
@@ -280,9 +304,8 @@ def _reference_csv(report, outcome):
     shown = np.isfinite(norm).tolist()
     cp_cells = [str(int(n)) for n in cps]
     z_cells = [""] * report.ensemble
-    z_at_terminal = _terminal_z(report, outcome)
-    if z_at_terminal is not None:
-        z_cells = [repr(z) if math.isfinite(z) else "" for z in z_at_terminal.tolist()]
+    if outcome.z_sample is not None:
+        z_cells = [repr(z) if math.isfinite(z) else "" for z in outcome.z_sample.tolist()]
     u_cells = [""] * report.ensemble
     if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
         u_cells = [repr(u) for u in report.u_hats.tolist()]
@@ -312,9 +335,10 @@ def _hand_built_report():
     track_values = np.random.default_rng(5).choice(
         values, size=(ensemble, checkpoints.size, len(rows))
     )
-    # Trajectory 1's U_hat is below U_FLOOR, so the mixture row drops it.
+    # Trajectory 1's U_hat is below U_FLOOR, so the mixture row drops it and
+    # its z reads NaN.
     u_hats = np.array([2.5, U_FLOOR / 10, 2.5, 0.75])
-    z_by_label = {mixture.label: np.array([0.5, -0.0, math.nan]),
+    z_by_label = {mixture.label: np.array([0.5, math.nan, -0.0, math.nan]),
                   normal_row.label: np.array([math.inf, 1.25, 1.25, -0.0])}
     outcomes = tuple(
         PredictionOutcome(

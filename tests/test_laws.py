@@ -23,14 +23,19 @@ def rows_by_label(klass):
     return {r.label: r for r in predict(klass)}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pi_n_frozen_values():
     assert pi_n(0.5, 2) == 1.875
     assert pi_n(0.0, 17) == 1.0
     for n in (1, 2, 10, 100):
         assert pi_n(1.0, n) == pytest.approx(n + 1, rel=1e-15)
     assert pi_n(0.3, 0) == 1.0
+    # a = -1: the first factor is 0, on both the product and the log path
+    assert [pi_n(-1.0, n) for n in (0, 1, 5, 5000)] == [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        pi_n(-1.0, 5)
+        pi_n(-1.0 - 1e-12, 5)
+    with pytest.raises(ValueError, match="eigenvalue > -1"):
+        euler_ratio(-1.0, 5)
 
 
 @given(a=st.floats(-0.99, 3.0), n=st.integers(1, 999))

@@ -335,6 +335,10 @@ def _oracle_outputs():
 
 # sha256 of the lines above, recorded before enumeration levels became whole
 # arrays; any change in any bit of any output changes one of them.
+# conditional_variance was re-pinned once, when tracks with eigenvalue -1
+# (within REPEAT_TOL) were left out of that check: the two periodic branch
+# specs read 0x1.2000000000000p-56 where they raised ValueError, and every
+# other line kept its bits.
 PINNED_DIGESTS = {
     "atoms_8": (
         "e14e74b7a75a074df1827ec0286e8971"
@@ -353,8 +357,8 @@ PINNED_DIGESTS = {
         "02f4c187d4383cb74b1a6b5f42c91b24"
     ),
     "conditional_variance": (
-        "1595e8a6082d8e4e75a8ff642079ff18"
-        "49ee49ae3b9564594b64dcd918dbe618"
+        "553441911a9e746ad869ddb76fe14913"
+        "217f6942928fcfd2bc83343f18fce7b8"
     ),
     "compensated": (
         "beaf12a0ce4821b6df418c41a5fbc523"

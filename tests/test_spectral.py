@@ -1,15 +1,18 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_laws import BRANCHES
 
-from urnlab import Family, classify, new_spec, spectral
+from urnlab import Family, classify, new_spec, predict, spectral
+from urnlab.cli import _run_oracle_checks
 from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
 
 TWO = [[0.7, 0.3], [0.4, 0.6]]
@@ -197,74 +200,164 @@ def test_periodic_dominant_block_accepted_with_warning():
     assert any("alternates" in w for w in k.warnings)
 
 
-# Sub-block row masses 8e-10 apart at s = 1/4 put the rows of Q = block / s
-# 1.6e-9 from 1; the dominant-block rows of the second spec sum to
-# 1 + 1.0002e-9.  new_spec accepts both.
-@pytest.mark.parametrize(
-    "matrix, initial, block",
-    [
-        ([[0.1, 0.15, 0.75], [0.1 + 8e-10, 0.15, 0.75 - 8e-10], [0, 0, 1]],
-         [0.3, 0.3, 0.4], "the scaled non-dominant block's"),
-        ([[0.5 + (1.5e-12 - 1.0002e-9) / 2, 0.25, 0.25],
-          [0.0, 0.5 + 1.0002e-9, 0.5],
-          [0.0, 0.3, 0.7 + (1.5e-12 - 1.0002e-9) / 2]],
-         [0.4, 0.3, 0.3], "the dominant block's"),
-    ],
-    ids=["sub_block", "dominant_block"],
-)
-def test_block_off_stochastic_is_unsupported_by_name(matrix, initial, block):
-    k = classify(new_spec(matrix, initial))
-    assert k.family is Family.UNSUPPORTED
-    assert (f"block-triangular shape found but {block} rows do not sum to 1 "
-            "within REPEAT_TOL") in k.warnings
+# Specs new_spec accepts within about 1e-9 of a covered shape.  Each used to
+# be refused or to raise: sub-block row masses 8e-10 apart at s = 1/4;
+# dominant-block rows summing to 1 + 1.0002e-9; two-colour rows 8e-10, 3e-10
+# and 1e-10 apart; row 0 of four_jordan_below summing to 1 + 2e-11; an
+# R[0, 1] of two_dom_half 1.4e-10 high; sub-block masses 3e-10 apart on rows
+# that sum to exactly 1; and a dominant-block eigenvalue 1e-11 from the
+# minor scale, again on exactly stochastic rows.
+NEAR_FAMILY = {
+    "sub_block": (
+        [[0.1, 0.15, 0.75], [0.1 + 8e-10, 0.15, 0.75 - 8e-10], [0, 0, 1]],
+        [0.3, 0.3, 0.4], Family.THREE_ONE_DOMINANT,
+    ),
+    "dominant_block": (
+        [[0.5 + (1.5e-12 - 1.0002e-9) / 2, 0.25, 0.25],
+         [0.0, 0.5 + 1.0002e-9, 0.5],
+         [0.0, 0.3, 0.7 + (1.5e-12 - 1.0002e-9) / 2]],
+        [0.4, 0.3, 0.3], Family.THREE_TWO_DOMINANT_DIAG,
+    ),
+    "rows_8e-10": ([[0.7, 0.3 + 8e-10], [0.4, 0.6]], [0.5, 0.5], Family.TWO_IRREDUCIBLE),
+    "rows_3e-10": ([[0.7, 0.3 + 3e-10], [0.4, 0.6]], [0.5, 0.5], Family.TWO_IRREDUCIBLE),
+    "rows_1e-10": ([[0.7, 0.3 + 1e-10], [0.4, 0.6]], [0.5, 0.5], Family.TWO_IRREDUCIBLE),
+    "jordan_identity": (
+        [[0.3 + 2e-11, 0.1, 0.5, 0.1], [0.1, 0.3, 0.3, 0.3],
+         [0, 0, 0.7, 0.3], [0, 0, 0.3, 0.7]],
+        uniform(4), Family.FOUR_BLOCK_JORDAN,
+    ),
+    "dom_fluct": (
+        [[0.5, 0.2500000001399935, 0.25], [0, 0.75, 0.25], [0, 0.25, 0.75]],
+        [0.5, 0.25, 0.25], Family.THREE_TWO_DOMINANT_DIAG,
+    ),
+    "sub_masses_on_stochastic_rows": (
+        [[0.3125 + 3e-10, 0.1875, 0.5 - 3e-10], [0.1875, 0.3125, 0.5], [0, 0, 1]],
+        [0.25, 0.25, 0.5], Family.THREE_ONE_DOMINANT,
+    ),
+    "near_repeated_on_stochastic_rows": (
+        [[0.5, 0.3, 0.2], [0, 0.75 + 5e-12, 0.25 - 5e-12],
+         [0, 0.25 - 5e-12, 0.75 + 5e-12]],
+        [0.5, 0.25, 0.25], Family.THREE_TWO_DOMINANT_JORDAN,
+    ),
+}
 
 
-# new_spec accepts row sums up to ROW_AGREEMENT_TOL = 1e-9 apart and leaves
-# them 1 -+ spread / 2, while the mass pair (ones, 1) is held to EIG_TOL.
-@pytest.mark.parametrize(
-    "spread, supported", [(8e-10, False), (3e-10, False), (1e-10, True)]
-)
-def test_rows_off_one_beyond_eig_tol_are_unsupported_by_name(spread, supported):
-    spec = new_spec([[0.7, 0.3 + spread], [0.4, 0.6]], [0.5, 0.5])
-    k = classify(spec)
-    if supported:
-        assert k.family is Family.TWO_IRREDUCIBLE
-        return
-    assert k.family is Family.UNSUPPORTED
-    residual = float(np.abs(spec.matrix @ np.ones(2) - 1.0).max())
-    assert k.warnings == (
-        f"replacement row sums {spec.matrix.sum(axis=1).tolist()!r} are "
-        f"{residual!r} from 1; the mass eigenpair needs them within "
-        "EIG_TOL = 1e-10",
-    )
-
-
-# Rows within EIG_TOL of 1 still fail a pair or the Jordan identity once the
-# closed-form basis scales their slack: row 0 of four_jordan_below summing
-# to 1 + 2e-11 (Jordan residual 1.25e-10), and an R[0, 1] of two_dom_half
-# 1.4e-10 high (dom_fluct residual 1.4e-10).
-@pytest.mark.parametrize(
-    "matrix, initial, failure",
-    [
-        ([[0.3 + 2e-11, 0.1, 0.5, 0.1], [0.1, 0.3, 0.3, 0.3],
-          [0, 0, 0.7, 0.3], [0, 0, 0.3, 0.7]], uniform(4),
-         "the Jordan identity has residual "),
-        ([[0.5, 0.2500000001399935, 0.25], [0, 0.75, 0.25], [0, 0.25, 0.75]],
-         [0.5, 0.25, 0.25], "the stored pair for 'dom_fluct' has residual "),
-    ],
-    ids=["jordan_identity", "dom_fluct"],
-)
-def test_rows_off_one_within_eig_tol_are_unsupported_by_name(matrix, initial, failure):
+@pytest.mark.parametrize("name", list(NEAR_FAMILY))
+def test_near_family_specs_classify_and_pass_the_oracle(name):
+    matrix, initial, family = NEAR_FAMILY[name]
     spec = new_spec(matrix, initial)
-    k = classify(spec)
-    assert k.family is Family.UNSUPPORTED
-    (reason,) = k.warnings
-    sums = spec.matrix.sum(axis=1).tolist()
-    head = f"replacement row sums {sums!r} miss 1, and {failure}"
-    assert reason.startswith(head)
-    assert reason.endswith("; classification needs it within EIG_TOL = 1e-10")
-    residual = float(reason[len(head):].split(";")[0])
-    assert 1e-10 < residual < 2e-10
+    klass = classify(spec)
+    assert klass.family is family
+    lines, ok = _run_oracle_checks(spec, klass, list(predict(klass)))
+    assert ok, lines
+
+
+def _beta_half_plus(gap):
+    # The s = lambda = beta = 1/2 four-colour Jordan spec, beta moved by gap.
+    return [[0.375, 0.125, 0.4, 0.1], [0.125, 0.375, 0.3, 0.2],
+            [0, 0, 0.75 + gap / 2, 0.25 - gap / 2],
+            [0, 0, 0.25 - gap / 2, 0.75 + gap / 2]]
+
+
+def _jordan_below_moved(gap, spread):
+    # four_jordan_below (s = beta = 0.4) with beta moved by gap and the
+    # sub-block row masses moved to 0.4 -+ spread / 2.
+    return [[0.3 - spread / 2, 0.1, 0.5 + spread / 2, 0.1],
+            [0.1, 0.3 + spread / 2, 0.3 - spread / 2, 0.3],
+            [0, 0, 0.7 + gap / 2, 0.3 - gap / 2],
+            [0, 0, 0.3 - gap / 2, 0.7 + gap / 2]]
+
+
+# Within REPEAT_TOL a dominant eigenvalue near the sub-block scale stays
+# Jordan; beyond it the dominant eigenvector is solved for directly.  A Jordan
+# column's residual reaches the gap plus half the mass spread, so the two
+# share REPEAT_TOL: a gap and a spread of 8e-10 each are solved for directly.
+@pytest.mark.parametrize(
+    "matrix, family",
+    [(_beta_half_plus(1e-10), Family.FOUR_BLOCK_JORDAN),
+     (_beta_half_plus(5e-10), Family.FOUR_BLOCK_JORDAN),
+     (_beta_half_plus(2e-9), Family.FOUR_BLOCK_DIAG),
+     (_beta_half_plus(1e-7), Family.FOUR_BLOCK_DIAG),
+     (_jordan_below_moved(4e-10, 8e-10), Family.FOUR_BLOCK_JORDAN),
+     (_jordan_below_moved(8e-10, 8e-10), Family.FOUR_BLOCK_DIAG),
+     (_jordan_below_moved(-8e-10, 8e-10), Family.FOUR_BLOCK_DIAG)],
+    ids=["beta_1e-10", "beta_5e-10", "beta_2e-9", "beta_1e-7",
+         "gap_4e-10_spread_8e-10", "gap_8e-10_spread_8e-10",
+         "gap_-8e-10_spread_8e-10"],
+)
+def test_near_repeated_dominant_eigenvalue_classifies(matrix, family):
+    assert classify(new_spec(matrix, uniform(4))).family is family
+
+
+def _refusal_shape(message):
+    # A refusal names original colors, which relabeling may change.
+    return re.sub(r"\d+", "#", message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(BRANCHES)), keep_zeros=st.booleans(),
+       data=st.data())
+def test_specs_near_branches_classify_or_refuse_by_name(name, keep_zeros, data):
+    matrix, initial, *_ = BRANCHES[name]
+    m = np.array(matrix, dtype=float)
+    moves = np.reshape(data.draw(st.lists(
+        st.floats(-2e-9, 2e-9), min_size=m.size, max_size=m.size
+    )), m.shape)
+    if keep_zeros:
+        moves[m == 0.0] = 0.0
+    try:
+        spec = new_spec(np.maximum(m + moves, 0.0), initial)
+    except ValueError:
+        assume(False)
+    try:
+        klass = classify(spec)
+    except ValueError as exc:
+        shapes = {_refusal_shape(msg) for kind, msg in REFUSALS.values()}
+        assert _refusal_shape(str(exc)) in shapes
+        return
+    assert klass.supported or klass.warnings
+    assert spectral._eigen_failure(spec, klass) is None
+
+
+def _moved(vec, m, size):
+    """vec moved along the coordinate m acts on most, so that |m @ vec| grows
+    by size * |vec|."""
+    norms = np.abs(m).max(axis=0)
+    j = int(np.argmax(norms))
+    out = np.array(vec, dtype=float)
+    out[j] += size * np.abs(vec).max() / norms[j]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_eigen_failure_names_a_pair_or_column_moved_past_repeat_tol(name):
+    matrix, initial, *_ = BRANCHES[name]
+    spec = new_spec(matrix, initial)
+    klass = classify(spec)
+    r, tol = spec.matrix, spectral.REPEAT_TOL
+    for i, (label, vec, eig) in enumerate(klass.vectors):
+        if eig is None or not np.abs(r - eig * np.eye(spec.colors)).max():
+            continue
+        for size, caught in ((10 * tol, True), (tol / 10, False)):
+            vectors = list(klass.vectors)
+            vectors[i] = (label, _moved(vec, r - eig * np.eye(spec.colors), size), eig)
+            failure = spectral._eigen_failure(
+                spec, dataclasses.replace(klass, vectors=tuple(vectors)))
+            assert (failure is not None) is caught, (label, size)
+            if caught:
+                assert failure.startswith(f"stored pair for {label!r} ")
+    if klass.jordan_basis_matrix is None:
+        return
+    t, j = klass.jordan_basis_matrix, klass.jordan_form
+    for col in range(t.shape[1]):
+        for size, caught in ((10 * tol, True), (tol / 10, False)):
+            moved = t.copy()
+            moved[:, col] = _moved(t[:, col], r - j[col, col] * np.eye(spec.colors), size)
+            failure = spectral._eigen_failure(
+                spec, dataclasses.replace(klass, jordan_basis_matrix=moved))
+            assert (failure is not None) is caught, (col, size)
+            if caught:
+                assert failure.startswith(f"Jordan identity column {col} ")
 
 
 def test_failed_identity_on_exactly_stochastic_rows_stays_internal(monkeypatch):

@@ -58,7 +58,8 @@ def test_studentize_mixture_drops_collapsed_trajectories():
     z, dropped = studentize(x, sub, u_hats=u)
     assert dropped == 1
     c = sub.mixture_coefficient
-    np.testing.assert_allclose(z, [1 / np.sqrt(4 * c), 1 / np.sqrt(c)])
+    # z stays aligned with the sample; the dropped trajectory reads NaN
+    np.testing.assert_allclose(z, [1 / np.sqrt(4 * c), 1 / np.sqrt(c), np.nan])
     with pytest.raises(ValueError, match="u_hats"):
         studentize(x, sub)
 
