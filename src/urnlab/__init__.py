@@ -8,76 +8,41 @@ limit-law predictions per tracked linear statistic; oracle recomputes the
 small-n identities behind those predictions by exact enumeration; verify
 runs Monte Carlo ensembles against the predictions and renders verdicts;
 cli wires everything to JSON configs and artifact files.
-"""
-from .core import (
-    EnsemblePaths,
-    ReplacementSpec,
-    default_checkpoints,
-    new_spec,
-    simulate_many,
-    trajectory_rng,
-)
-from .laws import (
-    LawPrediction,
-    LimitKind,
-    Normalization,
-    euler_ratio,
-    pi_n,
-    predict,
-)
-from .oracle import (
-    compensated_martingale_check,
-    exact_conditional_variance_check,
-    exact_distribution,
-    exact_mean_linear,
-    exact_mean_vector,
-)
-from .spectral import (
-    Family,
-    StructureClass,
-    classify,
-)
-from .verify import (
-    EnsembleReport,
-    PredictionOutcome,
-    ReportVerdict,
-    VerdictPolicy,
-    evaluate_report,
-    ks_standard_normal,
-    run_ensemble,
-    studentize,
-)
 
+`import urnlab` loads none of them.  A public name, or a layer named as an
+attribute (`urnlab.verify`), imports its home module on first use (PEP 562),
+so `from urnlab import classify` loads core and spectral only.  The cli
+module imports every layer when it loads.
+"""
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EnsemblePaths",
-    "ReplacementSpec",
-    "default_checkpoints",
-    "new_spec",
-    "simulate_many",
-    "trajectory_rng",
-    "LawPrediction",
-    "LimitKind",
-    "Normalization",
-    "euler_ratio",
-    "pi_n",
-    "predict",
-    "compensated_martingale_check",
-    "exact_conditional_variance_check",
-    "exact_distribution",
-    "exact_mean_linear",
-    "exact_mean_vector",
-    "Family",
-    "StructureClass",
-    "classify",
-    "EnsembleReport",
-    "PredictionOutcome",
-    "ReportVerdict",
-    "VerdictPolicy",
-    "evaluate_report",
-    "ks_standard_normal",
-    "run_ensemble",
-    "studentize",
-]
+# The public names of each layer; _HOME maps each name to its layer.
+_LAYERS = {
+    "core": ("EnsemblePaths", "ReplacementSpec", "default_checkpoints", "new_spec",
+             "simulate_many", "trajectory_rng"),
+    "laws": ("LawPrediction", "LimitKind", "Normalization", "euler_ratio", "pi_n", "predict"),
+    "oracle": ("compensated_martingale_check", "exact_conditional_variance_check",
+               "exact_distribution", "exact_mean_linear", "exact_mean_vector"),
+    "spectral": ("Family", "StructureClass", "classify"),
+    "verify": ("EnsembleReport", "PredictionOutcome", "ReportVerdict", "VerdictPolicy",
+               "evaluate_report", "ks_standard_normal", "run_ensemble", "studentize"),
+}
+_HOME = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    # __import__ at level 1, as `from . import core` does, so that
+    # `python -X importtime` still reports the module.
+    if name in _LAYERS:
+        return __import__(name, globals(), None, (), 1)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(_HOME[name], globals(), None, (), 1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

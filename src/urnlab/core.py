@@ -9,13 +9,17 @@ added to the composition.  Counts are non-negative reals in double precision.
 Trajectories are deterministic functions of (seed, stream).  Each stream is
 its own Philox generator, a counter-based generator fully determined by its
 128-bit key, and the key is that of numpy's SeedSequence(entropy=seed,
-spawn_key=(stream,)).  So ensembles can be simulated in any batch
-arrangement and still reproduce bit-identical values.  trajectory_rng(seed,
-stream) keys one stream through SeedSequence itself and is the scalar
-reference.  simulate_many derives all M keys in one vectorised pass
-(_stream_keys, SeedSequence's mixing in uint32 array arithmetic) and hands
-each key straight to Philox: about 11 us a stream on a 2-vCPU Xeon VM,
-against about 35 us through SeedSequence.
+spawn_key=(stream,)).  So a stream's states are the same bits in any batch
+arrangement, alone or inside any ensemble.  Its tracks are not: they are
+one BLAS product over the whole ensemble per checkpoint, and a one-row
+product goes to another routine, which may round differently.  On
+two_color at horizon 300, stream 3 alone differs from stream 3 of a
+7-stream ensemble in 6 of 22 track values (ROADMAP item 5).
+trajectory_rng(seed, stream) keys one stream through SeedSequence itself
+and is the scalar reference.  simulate_many derives all M keys in one
+vectorised pass (_stream_keys, SeedSequence's mixing in uint32 array
+arithmetic) and hands each key straight to Philox: about 11 us a stream on
+a 2-vCPU Xeon VM, against about 35 us through SeedSequence.
 
 Draw rule: with u the trajectory's next uniform variate in [0, 1) and cum the
 running prefix sums of the counts in colour order, colour i is drawn iff

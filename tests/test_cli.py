@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,23 @@ def test_predict_prints_law_table(tmp_path, capsys):
 def test_oracle_check_passes(tmp_path, capsys):
     assert run(tmp_path, "oracle-check", TWO) == 0
     assert "OVERALL PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+@pytest.mark.parametrize("command", ["predict", "oracle-check"])
+def test_cli_runs_as_a_module_in_a_fresh_process(tmp_path, config, command):
+    # As users and perfbench/run.py start it.  runpy warns "found in
+    # sys.modules" if importing the package had already loaded urnlab.cli.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "urnlab.cli", command, "--config", str(CONFIGS / config)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    marker = "predicted limit laws:" if command == "predict" else "OVERALL PASS"
+    assert marker in proc.stdout
+    assert "found in sys.modules" not in proc.stderr
 
 
 def test_verify_writes_artifacts_and_passes(tmp_path):
