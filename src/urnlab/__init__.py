@@ -18,14 +18,14 @@ __version__ = "0.1.0"
 
 # The public names of each layer; _HOME maps each name to its layer.
 _LAYERS = {
-    "core": ("EnsemblePaths", "ReplacementSpec", "default_checkpoints", "new_spec",
-             "simulate_many", "trajectory_rng"),
-    "laws": ("LawPrediction", "LimitKind", "Normalization", "euler_ratio", "pi_n", "predict"),
+    "core": ("ReplacementSpec", "default_checkpoints", "new_spec", "simulate_many",
+             "trajectory_rng"),
+    "laws": ("LimitKind", "Normalization", "euler_ratio", "pi_n", "predict"),
     "oracle": ("compensated_martingale_check", "exact_conditional_variance_check",
                "exact_distribution", "exact_mean_linear", "exact_mean_vector"),
     "spectral": ("Family", "StructureClass", "classify"),
-    "verify": ("EnsembleReport", "PredictionOutcome", "ReportVerdict", "VerdictPolicy",
-               "evaluate_report", "ks_standard_normal", "run_ensemble", "studentize"),
+    "verify": ("EnsembleReport", "PredictionOutcome", "evaluate_report",
+               "ks_standard_normal", "run_ensemble", "studentize"),
 }
 _HOME = {name: module for module, names in _LAYERS.items() for name in names}
 

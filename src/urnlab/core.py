@@ -38,12 +38,11 @@ in four calls a step.  Both give the same bits.
 An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
 the whole horizon with only its own generators alive, so the generators
 held do not grow with the ensemble.  Uniform variates are generated per
-trajectory in blocks of at most DEFAULT_BATCH_STEPS steps and at most
-UNIFORM_BLOCK_BYTES (4 MB) over a pass, a size the step loop reads back
-from cache; each trajectory's refill is one call of its generator's
-random into its row of the block.  No bound changes a result: a
-trajectory's state is its stream key and its counts, and passes only
-split the ensemble's rows.
+trajectory in blocks of _block_steps steps, at most UNIFORM_BLOCK_BYTES
+(4 MB) over a pass, a size the step loop reads back from cache; each
+trajectory's refill is one call of its generator's random into its row of
+the block.  No bound changes a result: a trajectory's state is its stream
+key and its counts, and passes only split the ensemble's rows.
 """
 from __future__ import annotations
 
@@ -70,12 +69,6 @@ ROW_SUM_TOL = 1e-12
 ROW_AGREEMENT_TOL = 1e-9
 # |total mass - (n + 1)| <= MASS_DRIFT_PER_TRIAL * max(n, 1) at checkpoints.
 MASS_DRIFT_PER_TRIAL = 1e-9
-# Uniform variates pre-generated per trajectory chunk in the batched runner.
-# Not a power of two: a 2048-step block is a 16 KiB row stride, and the step
-# loop's strided read of one column then maps every row to the same few
-# cache sets (K=4, horizon 2e4, M=500: 0.665 s at 2048 against 0.522 s at
-# 2000, medians of 5 alternating calls on one CPU of a 2-vCPU Xeon VM).
-DEFAULT_BATCH_STEPS = 2000
 # Upper bound on the bytes of one uniforms block (pass width x steps x 8 B);
 # wide passes get shorter blocks, never fewer than one step.  L2 is 2 MB a
 # core on the 2-vCPU Xeon VM measured, so a 4 MB block is read back from
@@ -412,6 +405,19 @@ def _exact_prefix_sums(spec: ReplacementSpec, horizon: int) -> bool:
     return False
 
 
+def _block_steps(width: int, horizon: int) -> int:
+    """Steps in the uniforms block of a pass width trajectories wide.
+
+    As many as UNIFORM_BLOCK_BYTES holds, at least one and at most horizon,
+    less one when that count is a multiple of 256: the block's row stride
+    is then a multiple of 2 KiB, and the step loop's strided read of one
+    column maps every row to the same few cache sets (README, "Simulation
+    kernel and memory": 256 steps at width 2000 ran 64% slower than 255).
+    """
+    steps = min(horizon, max(1, UNIFORM_BLOCK_BYTES // (8 * width)))
+    return steps - 1 if steps % 256 == 0 else steps
+
+
 def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
     """Run one pass of simulate_many: the trajectories of gens, whole horizon.
 
@@ -510,7 +516,6 @@ def simulate_many(
     *,
     checkpoints=None,
     track_vectors=None,
-    batch_steps: int = DEFAULT_BATCH_STEPS,
 ) -> EnsemblePaths:
     """Simulate a batch of independent trajectories on a checkpoint grid.
 
@@ -519,9 +524,9 @@ def simulate_many(
     streams, checkpoints, track_vectors).  The seed must be an integer >= 0
     and every stream id an integer in [0, 2**63); integral floats such as
     3.0 count as integers, bools and fractions raise ValueError, before any
-    array is allocated.  horizon and batch_steps are checked the same way
-    and must be >= 1.  Trajectory m draws from trajectory_rng(seed,
-    streams[m], key=...), with all M keys from one _stream_keys pass.
+    array is allocated.  horizon is checked the same way and must be >= 1.
+    Trajectory m draws from trajectory_rng(seed, streams[m], key=...), with
+    all M keys from one _stream_keys pass.
 
     Every step draws one colour per trajectory by the module's draw rule,
     colour i iff cum[i-1] <= u * cum[K-1] < cum[i], and adds that colour's
@@ -577,20 +582,18 @@ def simulate_many(
     wide but the last.  A pass builds its generators, runs the whole
     horizon, checks the mass law and writes its rows of states at every
     checkpoint, then drops its generators.  Uniforms come in blocks of
-    min(batch_steps, horizon, UNIFORM_BLOCK_BYTES // (8 W)) steps (at least
-    one), in one block allocated for the widest pass: 4 MB, or 250 steps at
-    W = 2000.  Each refill calls every generator's random(out=row) once,
-    so a stream's generator is called ceil(horizon / block) times.  Besides
-    the (M, C, K) states and (M, C, P) tracks, memory is then the uniforms
-    block plus one pass of generators.  Tracks are formed after the last
-    pass, over the whole ensemble, with the block released.  max_mass_drift
-    is the largest drift the passes' mass-law checks found.  batch_steps and
-    the two bounds only control memory and never change a value.
+    _block_steps(W, horizon) steps, min(horizon, UNIFORM_BLOCK_BYTES // (8 W))
+    but at least one and never a multiple of 256, in one block allocated for
+    the widest pass: 4 MB, or 250 steps at W = 2000.  Each refill calls
+    every generator's random(out=row) once, so a stream's generator is
+    called ceil(horizon / block) times.  Besides the (M, C, K) states and
+    (M, C, P) tracks, memory is then the uniforms block plus one pass of
+    generators.  Tracks are formed after the last pass, over the whole
+    ensemble, with the block released.  max_mass_drift is the largest drift
+    the passes' mass-law checks found.  The two bounds only control memory
+    and never change a value.
     """
     horizon = _checked_horizon(horizon)
-    batch_steps = _integer(batch_steps, "batch_steps")
-    if batch_steps < 1:
-        raise ValueError(f"batch_steps must be >= 1, got {batch_steps}")
     seed = _checked_seed(seed)
     if isinstance(streams, (numbers.Number, np.bool_)):
         stream_ids = np.arange(_integer(streams, "stream count"), dtype=np.int64)
@@ -623,10 +626,9 @@ def simulate_many(
     # first but the last.
     passes = -(-m // PASS_STREAMS)
     width = -(-m // passes)
-    cap = max(1, UNIFORM_BLOCK_BYTES // (8 * width))
     # One uniforms block for the widest pass, allocated once: a block
     # reallocated per pass would come back from the heap, which glibc keeps.
-    u = np.empty((width, min(batch_steps, horizon, cap)))
+    u = np.empty((width, _block_steps(width, horizon)))
     # Each pass's largest mass drift; np.max keeps a NaN, where max would not.
     drifts = []
     exact = _exact_prefix_sums(spec, horizon)

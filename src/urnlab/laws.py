@@ -84,7 +84,6 @@ class LimitKind(Enum):
     """What the normalized track does in the long run."""
 
     DETERMINISTIC_CONSTANT = "deterministic-constant"
-    AS_CONSTANT_VECTOR = "as-constant-vector"
     AS_RANDOM_VARIABLE = "as-random-variable"
     NORMAL = "normal"
     NORMAL_MIXTURE = "normal-mixture"

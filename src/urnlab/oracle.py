@@ -270,9 +270,11 @@ def exact_conditional_variance_check(
 ) -> float:
     """Max deviation in the one-step second-moment identity, all eigen tracks.
 
-    For every eigen-combination of klass.vectors, both sides of the
+    For every eigen-combination v of klass.vectors, both sides of the
     conditional-variance identity are evaluated on every enumerated
-    composition at levels 0..n-1; the largest absolute gap is returned.
+    composition at levels 0..n-1.  The identity is quadratic in v, so each
+    track's gap is divided by max|v|**2, and the largest is returned;
+    classify's vectors have max|v| = 1, where this is the absolute gap.
     Generalized-eigenvector tracks have no such identity and are skipped
     (compensated_martingale_check covers them), as are tracks whose
     eigenvalue classify counts as -1 (within REPEAT_TOL): Z_k = C_k . v / pi_k
@@ -303,7 +305,8 @@ def exact_conditional_variance_check(
             / np.float_power(pi_next, 2)
             * (cv2 / steps - np.float_power(cv / steps, 2))
         )
-        worst = float(np.fmax.reduce(np.abs(lhs - rhs), initial=worst))
+        peak = float(np.abs(v).max())
+        worst = float(np.fmax.reduce(np.abs(lhs - rhs) / (peak * peak), initial=worst))
     return worst
 
 
@@ -322,7 +325,9 @@ def compensated_martingale_check(
     classifier's Jordan basis with a finite (K, K) matrix, which lets callers
     confirm the check fails for a wrong basis.  Only Jordan families have
     such a track.  On the shipped beta = 0 four-colour example sub_fluct is
-    identically 0, so there the check has no teeth.
+    identically 0, so there the check has no teeth.  The deviation stays
+    absolute: it mixes two basis columns, t_gen and t_top, so no one
+    vector's size scales it.
     """
     if klass.jordan_form is None:
         raise ValueError(

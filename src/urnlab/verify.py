@@ -5,8 +5,8 @@ track at the checkpoint grid, and packages per-track statistics:
 studentized terminal samples with a Kolmogorov-Smirnov comparison against
 the standard normal for (mixture-)normal tracks, settling diagnostics for
 almost-sure tracks, and exact-constancy/mass checks for degenerate ones.
-evaluate_report turns a report into pass/fail verdicts under an explicit
-threshold policy, so every verdict is reproducible from the sampled data.
+evaluate_report turns a report into pass/fail verdicts under the fixed
+thresholds below, so every verdict is reproducible from the sampled data.
 
 Mixture tracks are studentized per trajectory: the variance of such a
 track is coefficient * U with U the random limit of the mixing track, so
@@ -32,7 +32,6 @@ __all__ = [
     "U_FLOOR",
     "PredictionOutcome",
     "EnsembleReport",
-    "VerdictPolicy",
     "CheckResult",
     "RowVerdict",
     "ReportVerdict",
@@ -48,6 +47,24 @@ MIN_ENSEMBLE = 100
 # Trajectories whose mixing estimate falls below this are dropped from
 # studentization (the variance estimate would be garbage).
 U_FLOOR = 1e-12
+# Verdict thresholds.  KS thresholds are coeff * 1.36 / sqrt(m): the
+# coefficient inflates the 5% two-sided KS quantile to leave room for
+# finite-horizon bias, wider for mixtures whose studentization itself is
+# estimated.  The tail envelope for almost-sure tracks was calibrated at
+# horizon 1e6 and is relaxed by (reference/N)^exponent for shorter runs.
+# Co-limit gap medians must decrease across checkpoints near the given
+# fractions of the horizon.
+KS_NORMAL_COEFF = 2.2
+KS_MIXTURE_COEFF = 3.7
+TAIL_RATIO = 0.05
+TAIL_REFERENCE_HORIZON = 1e6
+TAIL_SCALING_EXPONENT = 0.25
+CONSTANT_TOL = 1e-12
+MASS_TOL = 1e-9
+MEAN_SE_FACTOR = 4.0
+NONDEGENERACY_REL = 1e-6
+VARIANCE_RTOL = 0.05
+COLIMIT_FRACTIONS = (0.01, 0.1, 1.0)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -170,9 +187,8 @@ def _row_labels(predictions, all_rows) -> list[str]:
         return [r.label for r in all_rows]
     labels = []
     known = {r.label for r in all_rows}
-    for item in predictions:
-        label = item if isinstance(item, str) else item.label
-        if label not in known:
+    for label in predictions:
+        if not isinstance(label, str) or label not in known:
             raise ValueError(
                 f"unknown prediction label {label!r}; available: {sorted(known)}"
             )
@@ -199,10 +215,10 @@ def run_ensemble(
     """Simulate an ensemble and measure every selected predicted track.
 
     rows is spec's prediction table, predict(classify(spec)).  predictions
-    selects tracks by label (or LawPrediction), each at most once; None
-    takes all.  All K tracks are recorded regardless, because mixture
-    studentization and co-limit gaps read sibling tracks.  Identical inputs
-    give an identical report.
+    selects tracks by label, each at most once; None takes all.  All K
+    tracks are recorded regardless, because mixture studentization and
+    co-limit gaps read sibling tracks.  Identical inputs give an identical
+    report.
     """
     horizon = _integer(horizon, "horizon")
     ensemble = _integer(ensemble, "ensemble")
@@ -333,32 +349,6 @@ def run_ensemble(
 
 
 @dataclass(frozen=True)
-class VerdictPolicy:
-    """Thresholds used to turn measurements into pass/fail verdicts.
-
-    KS thresholds are coeff * 1.36 / sqrt(m): the coefficient inflates the
-    5% two-sided KS quantile to leave room for finite-horizon bias, wider
-    for mixtures whose studentization itself is estimated.  The tail
-    envelope for almost-sure tracks was calibrated at horizon 1e6 and is
-    relaxed by (reference/N)^exponent for shorter runs.  Co-limit gap
-    medians must decrease across checkpoints near the given fractions of
-    the horizon.
-    """
-
-    ks_normal_coeff: float = 2.2
-    ks_mixture_coeff: float = 3.7
-    tail_ratio: float = 0.05
-    tail_reference_horizon: float = 1e6
-    tail_scaling_exponent: float = 0.25
-    constant_tol: float = 1e-12
-    mass_tol: float = 1e-9
-    mean_se_factor: float = 4.0
-    nondegeneracy_rel: float = 1e-6
-    variance_rtol: float = 0.05
-    colimit_fractions: tuple[float, ...] = (0.01, 0.1, 1.0)
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -378,10 +368,10 @@ class ReportVerdict:
     rows: tuple[RowVerdict, ...]
 
 
-def _mean_check(outcome: PredictionOutcome, policy: VerdictPolicy) -> CheckResult | None:
+def _mean_check(outcome: PredictionOutcome) -> CheckResult | None:
     if outcome.expected_mean is None:
         return None
-    tol = policy.mean_se_factor * outcome.mean_se + policy.mass_tol
+    tol = MEAN_SE_FACTOR * outcome.mean_se + MASS_TOL
     gap = abs(outcome.sample_mean - outcome.expected_mean)
     return CheckResult(
         "mean",
@@ -405,13 +395,11 @@ def _ks_check(outcome: PredictionOutcome, coeff: float, name: str) -> CheckResul
     )
 
 
-def _colimit_check(
-    outcome: PredictionOutcome, checkpoints: np.ndarray, policy: VerdictPolicy
-) -> CheckResult:
+def _colimit_check(outcome: PredictionOutcome, checkpoints: np.ndarray) -> CheckResult:
     medians = outcome.colimit_gap_medians
     horizon = int(checkpoints[-1])
     picked: list[int] = []
-    for frac in policy.colimit_fractions:
+    for frac in COLIMIT_FRACTIONS:
         target = frac * horizon
         candidates = np.where(np.isfinite(medians))[0]
         if candidates.size == 0:
@@ -431,11 +419,8 @@ def _colimit_check(
     return CheckResult("colimit-trend", decreasing, pairs)
 
 
-def evaluate_report(
-    report: EnsembleReport, policy: VerdictPolicy | None = None
-) -> ReportVerdict:
-    """Apply the threshold policy to every measured track."""
-    policy = policy or VerdictPolicy()
+def evaluate_report(report: EnsembleReport) -> ReportVerdict:
+    """Apply the verdict thresholds to every measured track."""
     rows = []
     for outcome in report.outcomes:
         row = outcome.prediction
@@ -446,7 +431,7 @@ def evaluate_report(
             checks.append(
                 CheckResult(
                     "mass-law",
-                    outcome.constant_deviation <= policy.mass_tol,
+                    outcome.constant_deviation <= MASS_TOL,
                     f"max |normalized - {row.limit_mean:g}| = "
                     f"{outcome.constant_deviation:.3g}",
                 )
@@ -455,7 +440,7 @@ def evaluate_report(
             checks.append(
                 CheckResult(
                     "constant-track",
-                    outcome.constant_deviation <= policy.constant_tol,
+                    outcome.constant_deviation <= CONSTANT_TOL,
                     f"max |track - {row.initial_value:g}| = "
                     f"{outcome.constant_deviation:.3g}",
                 )
@@ -466,9 +451,9 @@ def evaluate_report(
                     CheckResult("ks-normal", True, "skipped: " + row.notes)
                 )
             else:
-                checks.append(_ks_check(outcome, policy.ks_normal_coeff, "ks-normal"))
+                checks.append(_ks_check(outcome, KS_NORMAL_COEFF, "ks-normal"))
         elif kind is LimitKind.NORMAL_MIXTURE:
-            checks.append(_ks_check(outcome, policy.ks_mixture_coeff, "ks-mixture"))
+            checks.append(_ks_check(outcome, KS_MIXTURE_COEFF, "ks-mixture"))
         elif kind is LimitKind.AS_RANDOM_VARIABLE:
             # Tracks normalized by n^a log n approach their limit at a
             # 1/log n rate, so settling and strict positivity of the
@@ -492,10 +477,8 @@ def evaluate_report(
                     )
                 )
             else:
-                scale = (
-                    policy.tail_reference_horizon / report.horizon
-                ) ** policy.tail_scaling_exponent
-                threshold = policy.tail_ratio * scale * floor
+                scale = (TAIL_REFERENCE_HORIZON / report.horizon) ** TAIL_SCALING_EXPONENT
+                threshold = TAIL_RATIO * scale * floor
                 checks.append(
                     CheckResult(
                         "tail-settle",
@@ -504,7 +487,7 @@ def evaluate_report(
                         f"{threshold:.4g}",
                     )
                 )
-            nondeg = policy.nondegeneracy_rel * max(floor * floor, 1e-12)
+            nondeg = NONDEGENERACY_REL * max(floor * floor, 1e-12)
             checks.append(
                 CheckResult(
                     "non-degenerate",
@@ -523,10 +506,10 @@ def evaluate_report(
                     )
                 )
             if outcome.colimit_gap_medians is not None:
-                checks.append(_colimit_check(outcome, report.checkpoints, policy))
+                checks.append(_colimit_check(outcome, report.checkpoints))
             if row.limit_variance is not None:
                 gap = abs(outcome.sample_variance - row.limit_variance)
-                tol = policy.variance_rtol * row.limit_variance
+                tol = VARIANCE_RTOL * row.limit_variance
                 checks.append(
                     CheckResult(
                         "limit-variance",
@@ -535,7 +518,7 @@ def evaluate_report(
                         f"= {gap:.3g} vs {tol:.3g}",
                     )
                 )
-        mean_check = _mean_check(outcome, policy)
+        mean_check = _mean_check(outcome)
         if mean_check is not None:
             checks.append(mean_check)
         rows.append(

@@ -59,7 +59,8 @@ def mean_linear(spec, vector, n):
 
 
 def conditional_variance(spec, tracks, n):
-    """Max gap in the one-step second-moment identity over (v, a) tracks."""
+    """Max gap in the one-step second-moment identity over (v, a) tracks,
+    each divided by max|v|**2."""
     pis = {(a, k): pi_n(a, k) for _, a in tracks for k in range(n + 1)}
     rows = spec.matrix
     worst = 0.0
@@ -83,7 +84,8 @@ def conditional_variance(spec, tracks, n):
                     / pis[(a, k + 1)] ** 2
                     * (cv2 / (k + 1.0) - (cv / (k + 1.0)) ** 2)
                 )
-                worst = max(worst, abs(lhs - rhs))
+                peak = float(np.abs(v).max())
+                worst = max(worst, abs(lhs - rhs) / (peak * peak))
     return worst
 
 

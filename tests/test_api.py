@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -75,3 +76,30 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
         urnlab.no_such_name
     with pytest.raises(ImportError):
         from urnlab import no_such_name  # noqa: F401
+
+
+# The public surface, pinned so that no export or option comes back unnoticed.
+PUBLIC_NAMES = [
+    "__version__",
+    "ReplacementSpec", "default_checkpoints", "new_spec", "simulate_many", "trajectory_rng",
+    "LimitKind", "Normalization", "euler_ratio", "pi_n", "predict",
+    "compensated_martingale_check", "exact_conditional_variance_check",
+    "exact_distribution", "exact_mean_linear", "exact_mean_vector",
+    "Family", "StructureClass", "classify",
+    "EnsembleReport", "PredictionOutcome", "evaluate_report", "ks_standard_normal",
+    "run_ensemble", "studentize",
+]
+
+
+def test_package_exports_are_pinned():
+    assert urnlab.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name, parameters", [
+    ("simulate_many", ["spec", "horizon", "seed", "streams", "checkpoints", "track_vectors"]),
+    ("run_ensemble", ["spec", "rows", "predictions", "horizon", "ensemble", "seed",
+                      "checkpoints", "max_draws", "variance_scale"]),
+    ("evaluate_report", ["report"]),
+])
+def test_entry_point_parameters_are_pinned(name, parameters):
+    assert list(inspect.signature(getattr(urnlab, name)).parameters) == parameters

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_laws import BRANCHES
+from test_spectral import _beta_half_plus
 
 from urnlab import LimitKind, classify, cli, new_spec, predict, run_ensemble
 from urnlab.cli import _float_cells, _sample_chunks, _write_sample_csvs, main
@@ -178,6 +180,53 @@ def test_periodic_dominant_block_gets_a_verdict(tmp_path, capsys, name, command)
     out, err = capsys.readouterr()
     assert (code, err) == (0, ""), out
     assert "OVERALL PASS" in out
+
+
+# beta = 1/2 + gap on the four-colour Jordan spec classifies as
+# four-block-diag with dom_fluct near [1e8, 1e8, 1, -1] (gap 2e-9) or
+# [2e6, 2e6, 1, -1] (gap 1e-7).  An absolute 1e-9 would fail their
+# conditional-variance residuals, 0.266 and 7.63e-05 in absolute terms.
+@pytest.mark.parametrize("gap", [2e-9, 1e-7], ids=["beta_2e-9", "beta_1e-7"])
+def test_oracle_residuals_are_relative_to_track_size(tmp_path, capsys, gap):
+    cfg = {"replacement_matrix": _beta_half_plus(gap), "initial_composition": [0.25] * 4}
+    assert run(tmp_path, "oracle-check", cfg) == 0
+    out = capsys.readouterr().out
+    assert "PASS conditional-variance" in out and "FAIL" not in out, out
+    # dom_fluct's first entry moved by 1e-6 of its size must still FAIL.
+    spec = new_spec(cfg["replacement_matrix"], cfg["initial_composition"])
+    klass = classify(spec)
+    vectors = []
+    for label, v, a in klass.vectors:
+        if label == "dom_fluct":
+            assert np.abs(v).max() > 1e6
+            v = v.copy()
+            v[0] += 1e-6 * np.abs(v).max()
+        vectors.append((label, v, a))
+    moved = dataclasses.replace(klass, vectors=tuple(vectors))
+    lines, ok = cli._run_oracle_checks(spec, moved, predict(klass))
+    assert not ok
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL conditional-variance"
+    ]
+
+
+def test_mean_identity_gap_is_relative_to_track_size():
+    # Rows scaled by 2**40 scale the exact and predicted means exactly, so
+    # their relative gaps are the unscaled ones, bit for bit; absolute gaps
+    # near 1e-15 would grow past 1e-9.
+    spec = new_spec(_beta_half_plus(0.0), [0.25] * 4)
+    klass = classify(spec)
+    rows = predict(klass)
+    scaled = [dataclasses.replace(r, vector=r.vector * 2.0**40,
+                                  initial_value=r.initial_value * 2.0**40) for r in rows]
+
+    def gaps(rows):
+        lines, ok = cli._run_oracle_checks(spec, klass, rows)
+        assert ok, lines
+        return [line.split(" = ")[1] for line in lines if "mean-identity" in line]
+
+    assert gaps(scaled) == gaps(rows)
+    assert any(gap != "0 at n = 8" for gap in gaps(rows))
 
 
 def test_unknown_config_key_exits_three(tmp_path, capsys):

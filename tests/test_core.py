@@ -146,14 +146,15 @@ def test_block_draws_match_sequential_draws():
     assert block.tolist() == seq.tolist()
 
 
-def test_simulate_many_batch_size_is_invisible():
+def test_simulate_many_batch_size_is_invisible(monkeypatch):
+    # 7-step blocks at M = 4, the last one 3 steps, against one 500-step block.
     for model in (TWO, FOUR):
         spec = new_spec(*model)
-        a = simulate_many(spec, 500, 2, 4, batch_steps=7)
-        b = simulate_many(spec, 500, 2, 4, batch_steps=2048)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "UNIFORM_BLOCK_BYTES", 8 * 4 * 7)
+            a = simulate_many(spec, 500, 2, 4)
+        b = simulate_many(spec, 500, 2, 4)
         assert a.states.tolist() == b.states.tolist()
-    with pytest.raises(ValueError, match="batch_steps"):
-        simulate_many(spec, 500, 2, 4, batch_steps=0)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 4])
@@ -174,19 +175,18 @@ def test_uniform_block_byte_bound_is_invisible(monkeypatch, block_bytes):
 @pytest.mark.parametrize("streams", [7, [0, 4, 2**40, 9, 5]], ids=["count", "list"])
 @pytest.mark.parametrize("pass_streams", [1, 3])
 def test_pass_bound_is_invisible(monkeypatch, pass_streams, streams):
-    # At a bound of 3, 7 streams run as passes of 3, 3 and 1, and 5 as 3 and 2.
+    # At a bound of 3, 7 streams run as passes of 3, 3 and 1, and 5 as 3 and 2;
+    # every pass is pass_streams wide but the last, and its blocks are 64
+    # steps, the last one 44.  The reference runs one pass in one block.
     # FOUR takes the general step and FOUR_DYADIC the exact one.
     vectors = [[0.3, -0.1, 0.7, 0.2]]
     for model in (FOUR, FOUR_DYADIC):
         spec = new_spec(*model)
         with monkeypatch.context() as patch:
-            a = simulate_many(
-                spec, 300, 2, streams, track_vectors=vectors, batch_steps=64
-            )
+            a = simulate_many(spec, 300, 2, streams, track_vectors=vectors)
             patch.setattr(core, "PASS_STREAMS", pass_streams)
-            b = simulate_many(
-                spec, 300, 2, streams, track_vectors=vectors, batch_steps=64
-            )
+            patch.setattr(core, "UNIFORM_BLOCK_BYTES", 8 * pass_streams * 64)
+            b = simulate_many(spec, 300, 2, streams, track_vectors=vectors)
         assert a.states.tolist() == b.states.tolist()
         assert a.tracks.tolist() == b.tracks.tolist()
 
@@ -220,21 +220,21 @@ def test_at_most_pass_bound_of_generators_alive(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "horizon, streams, batch_steps, block_bytes, pass_streams",
+    "horizon, streams, block_bytes, pass_streams, block",
     [
-        (50, 5, 2000, 8 * 5 * 7, 2048),  # byte bound: 7-step blocks, last 1
-        (40, 4, 16, 10**6, 2048),  # batch_steps: 16-step blocks, last 8
-        (10, 4, 2000, 10**6, 2048),  # horizon: one block
-        (30, 7, 2000, 8 * 3 * 4, 3),  # passes of 3, 3 and 1; 4-step blocks
+        (50, 5, 8 * 5 * 7, 2048, 7),  # 7-step blocks, last 1
+        (40, 4, 8 * 4 * 16, 2048, 16),  # 16-step blocks, last 8
+        (10, 4, 10**6, 2048, 10),  # horizon: one block
+        (30, 7, 8 * 3 * 4, 3, 4),  # passes of 3, 3 and 1; 4-step blocks
+        (600, 2, 8 * 2 * 256, 2048, 255),  # 256 steps fit: 255-step blocks, last 90
     ],
+    ids=["block-7", "block-16", "horizon", "passes", "stride"],
 )
-def test_refill_schedule(
-    monkeypatch, horizon, streams, batch_steps, block_bytes, pass_streams
-):
+def test_refill_schedule(monkeypatch, horizon, streams, block_bytes, pass_streams, block):
     # Each refill must go through the generator object's random attribute,
     # where perfbench/tracer.py's TimedGenerator hooks it.
     spec = new_spec(*FOUR)
-    expected = simulate_many(spec, horizon, 3, streams, batch_steps=batch_steps)
+    expected = simulate_many(spec, horizon, 3, streams)
     original = core.trajectory_rng
     refills = []
 
@@ -253,16 +253,35 @@ def test_refill_schedule(
     )
     monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
-    paths = simulate_many(spec, horizon, 3, streams, batch_steps=batch_steps)
+    paths = simulate_many(spec, horizon, 3, streams)
     assert paths.states.tobytes() == expected.states.tobytes()
     width = -(-streams // -(-streams // pass_streams))
-    block = min(batch_steps, horizon, block_bytes // (8 * width))
     full, last = divmod(horizon, block)
     schedule = [8 * block] * full + ([8 * last] if last else [])
     assert len(schedule) == -(-horizon // block)
     assert refills == [schedule] * streams
     # No out array, nor one pass's refills together, exceed the byte bound.
     assert sum(sizes[0] for sizes in refills[:width]) <= block_bytes
+
+
+@pytest.mark.parametrize(
+    "width, horizon, steps",
+    [(2000, 10**5, 250), (1024, 10**5, 488), (1000, 10**6, 500), (100, 1000, 1000)],
+)
+def test_block_steps_of_acceptance_shapes(width, horizon, steps):
+    assert core._block_steps(width, horizon) == steps
+
+
+def test_block_steps_are_never_a_multiple_of_256():
+    # 4 MB holds 256, 512 and 1024 steps at these widths, and the horizon
+    # caps the last shape at 4096; each loses one step.
+    assert [core._block_steps(w, h) for w, h in
+            ((1953, 10**5), (976, 10**5), (488, 10**5), (100, 4096))] == [255, 511, 1023, 4095]
+    for width in range(1, 2049):
+        for horizon in (1, 255, 256, 257, 4096, 10**6):
+            steps = core._block_steps(width, horizon)
+            assert 1 <= steps <= horizon and steps % 256, (width, horizon, steps)
+            assert steps == 1 or 8 * width * steps <= core.UNIFORM_BLOCK_BYTES
 
 
 def test_uniforms_block_bounds_traced_memory():
@@ -342,14 +361,14 @@ def _sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("batch_steps", [7, None], ids=["batch7", "default"])
+@pytest.mark.parametrize("block_steps", [7, None], ids=["batch7", "default"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_simulate_many_golden_digests(name, batch_steps):
+def test_simulate_many_golden_digests(monkeypatch, name, block_steps):
+    # 7-step blocks (the last one 6) or the default single 1000-step block.
     model, vectors, seed, states_digest, tracks_digest = GOLDEN[name]
-    kwargs = {} if batch_steps is None else {"batch_steps": batch_steps}
-    paths = simulate_many(
-        new_spec(*model), 1000, seed, 12, track_vectors=vectors, **kwargs
-    )
+    if block_steps is not None:
+        monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", 8 * 12 * block_steps)
+    paths = simulate_many(new_spec(*model), 1000, seed, 12, track_vectors=vectors)
     assert (_sha256(paths.states), _sha256(paths.tracks)) == (
         states_digest,
         tracks_digest,
@@ -576,27 +595,25 @@ def test_bad_seed_and_stream_rejected_before_allocation():
     assert _peak_bytes(huge_stream) < states_bytes / 10
 
 
-def test_fractional_and_bool_horizon_and_batch_steps_rejected():
+def test_fractional_and_bool_horizon_rejected():
     spec = new_spec(*TWO)
     m = 10**6
     for bad in (2.5, True):
-        for kwargs, name in (({"horizon": bad}, "horizon"),
-                             ({"horizon": 1024, "batch_steps": bad}, "batch_steps")):
 
-            def rejected():
-                with pytest.raises(ValueError, match=f"{name} is not an integer"):
-                    simulate_many(spec, seed=1, streams=m, **kwargs)
+        def rejected():
+            with pytest.raises(ValueError, match="horizon is not an integer"):
+                simulate_many(spec, bad, seed=1, streams=m)
 
-            # Raised before the keys and states of 10**6 streams exist.
-            assert _peak_bytes(rejected) < 10**6
+        # Raised before the keys and states of 10**6 streams exist.
+        assert _peak_bytes(rejected) < 10**6
         with pytest.raises(ValueError, match="horizon is not an integer"):
             default_checkpoints(bad)
     for bad in (0, -3.0):
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             simulate_many(spec, bad, 1, 2)
     paths = simulate_many(spec, 3, 1, 4)
-    for horizon, batch_steps in ((3.0, 2000), (3, 2.0), (np.float64(3), np.int32(1))):
-        again = simulate_many(spec, horizon, 1, 4, batch_steps=batch_steps)
+    for horizon in (3.0, np.float64(3), np.int32(3)):
+        again = simulate_many(spec, horizon, 1, 4)
         assert again.states.tobytes() == paths.states.tobytes()
         assert again.checkpoints.tolist() == paths.checkpoints.tolist()
     assert default_checkpoints(8.0).tolist() == default_checkpoints(8).tolist()
@@ -650,7 +667,9 @@ def test_simulate_many_builds_each_generator_through_trajectory_rng(monkeypatch)
     # perfbench/tracer.py times core.rng by wrapping this module-global name.
     spec = new_spec(*FOUR)
     streams = [0, 4, 2**40, 9]
-    expected = simulate_many(spec, 300, 5, streams, batch_steps=128)
+    # 128-step blocks, the last one 44: three refills a stream.
+    monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", 8 * len(streams) * 128)
+    expected = simulate_many(spec, 300, 5, streams)
     calls = {"rng": 0, "random": 0}
     original = core.trajectory_rng
 
@@ -659,7 +678,7 @@ def test_simulate_many_builds_each_generator_through_trajectory_rng(monkeypatch)
         return _CountingGenerator(original(*args, **kwargs), calls)
 
     monkeypatch.setattr(core, "trajectory_rng", counting_rng)
-    paths = simulate_many(spec, 300, 5, streams, batch_steps=128)
+    paths = simulate_many(spec, 300, 5, streams)
     assert calls == {"rng": len(streams), "random": len(streams) * 3}
     assert paths.states.tobytes() == expected.states.tobytes()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -128,6 +129,22 @@ def test_conditional_variance_identity_across_families():
         spec = new_spec(matrix, initial)
         gap = exact_conditional_variance_check(spec, classify(spec), 5)
         assert gap < 1e-12
+
+
+def test_conditional_variance_residual_does_not_scale_with_the_track():
+    # The identity is quadratic in v and the residual is divided by
+    # max|v|**2, so scaling the tracks by a power of two keeps every bit.
+    # One entry is moved off the eigenvector, so the residual is not 0.
+    klass = classify(J4_BETA_HALF)
+
+    def residual(scale):
+        vectors = tuple((label, (v + np.array([0.0, 0.0, 1e-6, 0.0])) * scale, a)
+                        for label, v, a in klass.vectors)
+        moved = dataclasses.replace(klass, vectors=vectors)
+        return _hex(exact_conditional_variance_check(J4_BETA_HALF, moved, 6))
+
+    assert float.fromhex(residual(1.0)) > 1e-9
+    assert residual(2.0**-20) == residual(1.0) == residual(2.0**30)
 
 
 def test_compensated_martingale_identity_for_jordan_families():

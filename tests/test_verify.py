@@ -4,7 +4,6 @@ import scipy.stats
 
 from urnlab import (
     LimitKind,
-    VerdictPolicy,
     classify,
     evaluate_report,
     ks_standard_normal,
@@ -12,6 +11,7 @@ from urnlab import (
     predict,
     run_ensemble,
     studentize,
+    verify,
 )
 
 TWO = new_spec([[0.7, 0.3], [0.4, 0.6]], [4 / 7, 3 / 7])
@@ -111,6 +111,10 @@ def test_run_ensemble_guards():
     with pytest.raises(ValueError, match="'fluct' is selected twice"):
         run_ensemble(TWO, predict(k), predictions=["fluct", "fluct"], horizon=1000,
                      ensemble=100)
+    # Rows are selected by label only.
+    with pytest.raises(ValueError, match="unknown prediction label LawPrediction"):
+        run_ensemble(TWO, predict(k), predictions=predict(k)[1:], horizon=1000,
+                     ensemble=100)
 
 
 def test_run_ensemble_rejects_bad_checkpoint_grids():
@@ -183,8 +187,9 @@ def test_evaluate_report_rejects_pooled_mixture_studentization():
     assert p_pooled < 0.01
 
 
-def test_policy_thresholds_shape_verdicts():
+def test_policy_thresholds_shape_verdicts(monkeypatch):
     k = classify(TWO)
     rep = run_ensemble(TWO, predict(k), horizon=4000, ensemble=600, seed=8)
-    tight = VerdictPolicy(ks_normal_coeff=0.001)
-    assert not evaluate_report(rep, tight).passed
+    assert evaluate_report(rep).passed
+    monkeypatch.setattr(verify, "KS_NORMAL_COEFF", 0.001)
+    assert not evaluate_report(rep).passed
