@@ -18,36 +18,41 @@ two_color at horizon 300, stream 3 alone differs from stream 3 of a
 trajectory_rng(seed, stream) keys one stream through SeedSequence itself
 and is the scalar reference.  simulate_many derives all M keys in one
 vectorised pass (_stream_keys, SeedSequence's mixing in uint32 array
-arithmetic) and hands each key straight to Philox: about 11 us a stream on
-a 2-vCPU Xeon VM, against about 35 us through SeedSequence.
+arithmetic).  The first pass hands each of its keys straight to Philox:
+about 11 us a stream on a 2-vCPU Xeon VM, against about 35 us through
+SeedSequence.  Every later pass re-keys those generators to its own
+streams, at about 1.4 us a stream.
 
 Draw rule: with u the trajectory's next uniform variate in [0, 1) and cum the
 running prefix sums of the counts in colour order, colour i is drawn iff
 cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
-its state colour-major, as a (K, M) array over M trajectories, and takes one
-of two steps, chosen once per call.  The general step holds the counts and
-forms cum by K-1 vector adds in colour order, so every rounding step matches
-np.cumsum(counts); the drawn colours become a one-hot (K, M) matrix, and one
-matrix product with the transposed replacement matrix yields the drawn
-rows.  Nine numpy calls a step at K=4.  The exact step serves dyadic models,
-whose entries are multiples of some 2**-p (two of the three shipped
-configs): while every sum stays below 2**53 * 2**-p no add rounds, so it
-carries cum itself, total row included, and adds row c of cumsum(R) to it
-in four calls a step.  Both give the same bits.
+its state colour-major, one column per trajectory, and takes one of two
+steps, chosen once per call.  The general step holds the counts and cum in
+one (2K-1, M) array, where colour 0's count is cum[0], and forms
+cum[1..K-1] by K-1 vector adds in colour order, so every rounding step
+matches np.cumsum(counts); the drawn colours become a one-hot (K, M)
+matrix, and one matrix product with the transposed replacement matrix
+yields the drawn rows.  Eight numpy calls a step at K=4, six at K=2.  The
+exact step serves dyadic models, whose entries are multiples of some 2**-p
+(two of the three shipped configs): while every sum stays below
+2**53 * 2**-p no add rounds, so it carries cum itself, total row included,
+as a (K, M) array, and adds row c of cumsum(R) to it in four calls a step.
+Both give the same bits.
 
 An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
-the whole horizon with only its own generators alive, so the generators
-held do not grow with the ensemble.  Uniform variates are generated per
-trajectory in blocks of _block_steps steps, at most UNIFORM_BLOCK_BYTES
-(4 MB) over a pass, a size the step loop reads back from cache; each
-trajectory's refill is one call of its generator's random into its row of
-the block.  No bound changes a result: a trajectory's state is its stream
-key and its counts, and passes only split the ensemble's rows.
+the whole horizon.  The first pass builds its W generators and every later
+pass re-keys them to its own streams, so the generators held do not grow
+with the ensemble and no more than W are built.  Uniform variates are
+generated per trajectory in blocks of _block_steps steps, at most
+UNIFORM_BLOCK_BYTES (4 MB) over a pass, a size the step loop reads back
+from cache; each trajectory's refill is one call of its generator's random
+into its row of the block.  No bound changes a result: a trajectory's state
+is its stream key and its counts, and passes only split the ensemble's
+rows.
 """
 from __future__ import annotations
 
 import functools
-import gc
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -334,8 +339,9 @@ def trajectory_rng(seed: int, stream: int, *, key=None) -> np.random.Generator:
     Without key the key comes from numpy's SeedSequence, and this is the
     scalar reference for simulate_many.  key, if given, must be that
     stream's key, a row of _stream_keys(seed, ...); Philox then takes it
-    directly, at about a third of the cost.  simulate_many builds every
-    trajectory's generator here, with the keys it derived in one pass.
+    directly, at about a third of the cost.  simulate_many builds its
+    first pass's generators here, with the keys it derived in one pass, and
+    re-keys them for every later pass (_rekey).
     """
     seed = _checked_seed(seed)
     stream = _checked_stream(stream)
@@ -363,21 +369,19 @@ def _validated_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     return cps
 
 
-def _generators(seed: int, stream_ids: np.ndarray, keys: np.ndarray) -> list:
-    """trajectory_rng(seed, s, key=k) for each stream s and its key k."""
-    # The cyclic collector would rescan the growing list of generators many
-    # times over (about a third of the set-up at M = 1e5); it is paused for
-    # the build only, and re-enabled only if it was on.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return [
-            trajectory_rng(seed, s, key=key)
-            for s, key in zip(stream_ids.tolist(), keys)
-        ]
-    finally:
-        if collecting:
-            gc.enable()
+def _rekey(gens: list, keys: np.ndarray, fresh: dict) -> None:
+    """Re-key gens[i] to keys[i], for each row of keys.
+
+    fresh is the state of a generator trajectory_rng has just built:
+    counter 0, an empty buffer and no cached uint32.  Each generator gets
+    that state with only the key replaced, so it then draws what
+    trajectory_rng(seed, s, key=keys[i]) would from its start.  The key
+    held in fresh is overwritten in place.
+    """
+    state = fresh["state"]
+    for g, key in zip(gens, keys.tolist()):
+        state["key"] = key
+        g.bit_generator.state = fresh
 
 
 def _exact_prefix_sums(spec: ReplacementSpec, horizon: int) -> bool:
@@ -424,23 +428,30 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
     Trajectory i draws from gens[i] through row i of u, this pass's rows of
     the uniforms block, and its checkpoints go to row i of states, this
     pass's rows of the ensemble's.  Each checkpoint is checked against the
-    mass law, and the largest drift is returned.  The generators are
-    dropped when the pass returns.  exact selects the exact step, which
-    carries the prefix sums in place of the counts (see simulate_many).
+    mass law, and the largest drift is returned.  exact selects the exact
+    step, which carries the prefix sums in place of the counts; the general
+    step holds the counts and the prefix sums in one array (see
+    simulate_many).
     """
     k, m = spec.colors, len(gens)
-    # Colour-major working state: counts[j] holds colour j for every trajectory.
-    counts = np.repeat(spec.initial[:, None], m, axis=1)
     worst = np.float64(0.0)
+    # Bound once and called positionally in the step loops, so no keyword
+    # is parsed on each step.
+    add, multiply, less_equal, not_equal, matmul = (
+        np.add, np.multiply, np.less_equal, np.not_equal, np.matmul
+    )
 
     def record(n: int) -> None:
         nonlocal worst
+        at_n = states[:, cp_index[n], :]
         if exact:
             # Differences of exact prefix sums, so the counts are exact.
-            counts[0] = cum[0]
-            np.subtract(cum[1:], cum[:-1], out=counts[1:])
-        at_n = states[:, cp_index[n], :]
-        at_n[...] = counts.T
+            at_n[:, 0] = cum[0]
+            np.subtract(cum[1:], cum[:-1], out=at_n[:, 1:].T)
+        else:
+            # counts holds colours 1..K-1, then colour 0.
+            at_n[:, 0] = counts[k - 1]
+            at_n[:, 1:] = counts[: k - 1].T
         drift = np.abs(at_n.sum(axis=1) - (n + 1.0)).max()
         if drift > MASS_DRIFT_PER_TRIAL * max(n, 1):
             raise RuntimeError(
@@ -449,9 +460,9 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
         worst = np.maximum(worst, drift)
 
     scaled = np.empty(m)
-    add = np.empty((k, m))
+    drawn = np.empty((k, m))
     if exact:
-        cum = np.cumsum(counts, axis=0)
+        cum = np.cumsum(np.repeat(spec.initial[:, None], m, axis=1), axis=0)
         # e[j] = (cum[j-1] <= scaled) for j = 1..K-1 under e[0] = 1: ones up
         # to the drawn colour c.  Column j of d_rows is row j of cumsum(R)
         # less row j-1, so d_rows @ e telescopes to row c of cumsum(R).
@@ -461,8 +472,14 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
             np.diff(np.cumsum(spec.matrix, axis=1), axis=0, prepend=0.0).T
         )
     else:
-        rows_t = np.ascontiguousarray(spec.matrix.T)
-        cum = np.empty((k, m))
+        # Rows: the counts of colours 1..K-1, colour 0's, then cum[1..K-1].
+        # So rows K-1.. are cum, cum[0] being colour 0's count, and no copy
+        # forms it.  rows_t is R.T with its rows in the same colour order.
+        order = [*range(1, k), 0]
+        held = np.empty((2 * k - 1, m))
+        counts, cum = held[:k], held[k - 1:]
+        counts[...] = spec.initial[order, None]
+        rows_t = np.ascontiguousarray(spec.matrix.T[order])
         # ext[j] = (cum[j-1] <= scaled) for j = 1..K-1, framed by ext[0] = True
         # and ext[K] = False; the one adjacent pair that differs marks the
         # drawn colour.
@@ -470,9 +487,8 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
         ext[0] = True
         ext[k] = False
         one_hot = np.empty((k, m))
-        # Views the step loop uses, built once.
-        cum_first, counts_first = cum[0], counts[0]
-        prefix_adds = [(cum[j - 1], counts[j], cum[j]) for j in range(1, k)]
+        # Views the step loop uses, built once: cum[j] = cum[j-1] + colour j.
+        prefix_adds = [(cum[j - 1], counts[j - 1], cum[j]) for j in range(1, k)]
         ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
     cum_head, cum_total = cum[: k - 1], cum[k - 1]
     if 0 in cp_index:
@@ -485,23 +501,22 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
             g.random(out=row)
         if exact:
             for column in ub.T:
-                np.multiply(column, cum_total, out=scaled)
-                np.less_equal(cum_head, scaled, out=e_head)
-                np.matmul(d_rows, e, out=add)
-                cum += add
+                multiply(column, cum_total, scaled)
+                less_equal(cum_head, scaled, e_head)
+                matmul(d_rows, e, drawn)
+                add(cum, drawn, cum)
                 n += 1
                 if n in cp_index:
                     record(n)
         else:
             for column in ub.T:
-                np.copyto(cum_first, counts_first)
                 for prev, row, out in prefix_adds:
-                    np.add(prev, row, out=out)
-                np.multiply(column, cum_total, out=scaled)
-                np.less_equal(cum_head, scaled, out=ext_head)
-                np.not_equal(ext_upper, ext_lower, out=one_hot)
-                np.matmul(rows_t, one_hot, out=add)
-                counts += add
+                    add(prev, row, out)
+                multiply(column, cum_total, scaled)
+                less_equal(cum_head, scaled, ext_head)
+                not_equal(ext_upper, ext_lower, one_hot)
+                matmul(rows_t, one_hot, drawn)
+                add(counts, drawn, counts)
                 n += 1
                 if n in cp_index:
                     record(n)
@@ -533,13 +548,16 @@ def simulate_many(
     replacement row.  Which step runs is decided once, by
     _exact_prefix_sums(spec, horizon); no argument selects it.
 
-    The general step holds the counts colour-major as (K, M) and builds cum
-    by a copy and K-1 vector adds in colour order, the same adds as
-    np.cumsum.  Five calls follow, nine in all at K=4: the product
+    The general step holds the counts and cum colour-major in one
+    (2K-1, M) array: the counts of colours 1..K-1, colour 0's count, then
+    cum[1..K-1].  Colour 0's count is cum[0] with no copy, and K-1 vector
+    adds in colour order form the rest, the same adds as np.cumsum.  Five
+    calls follow, eight in all at K=4 and six at K=2: the product
     u * cum[K-1]; the comparison cum[:K-1] <= u * cum[K-1] fills rows
     1..K-1 of a bool (K+1, M) buffer whose row 0 is True and row K False;
     adjacent rows that differ give a float one-hot (K, M) matrix;
-    R.T @ one_hot is the drawn rows; one add.
+    R.T @ one_hot is the drawn rows, with R.T's rows in the array's colour
+    order; one add.
     This returns exactly the row the count of Trues selects:
 
     - counts are >= 0, so the float prefix sums never decrease and every
@@ -579,14 +597,17 @@ def simulate_many(
     of the general step, and the mass-law check reads the same sums.
 
     The M streams run in the fewest passes of at most PASS_STREAMS, all W
-    wide but the last.  A pass builds its generators, runs the whole
-    horizon, checks the mass law and writes its rows of states at every
-    checkpoint, then drops its generators.  Uniforms come in blocks of
+    wide but the last.  The first pass builds its W generators through
+    trajectory_rng; each later pass re-keys the first of them to its own
+    streams, giving each the state of a generator just built with only the
+    key replaced (_rekey), so it draws what a newly built one would.  A
+    pass runs the whole horizon, checks the mass law and writes its rows of
+    states at every checkpoint.  Uniforms come in blocks of
     _block_steps(W, horizon) steps, min(horizon, UNIFORM_BLOCK_BYTES // (8 W))
     but at least one and never a multiple of 256, in one block allocated for
     the widest pass: 4 MB, or 250 steps at W = 2000.  Each refill calls
-    every generator's random(out=row) once, so a stream's generator is
-    called ceil(horizon / block) times.  Besides the (M, C, K) states and
+    every generator's random(out=row) once, so each stream takes
+    ceil(horizon / block) calls.  Besides the (M, C, K) states and
     (M, C, P) tracks, memory is then the uniforms block plus one pass of
     generators.  Tracks are formed after the last pass, over the whole
     ensemble, with the block released.  max_mass_drift is the largest drift
@@ -632,18 +653,26 @@ def simulate_many(
     # Each pass's largest mass drift; np.max keeps a NaN, where max would not.
     drifts = []
     exact = _exact_prefix_sums(spec, horizon)
+    gens = [
+        trajectory_rng(seed, s, key=key)
+        for s, key in zip(stream_ids[:width].tolist(), keys[:width])
+    ]
+    # Read before any draw, so it is the state of a generator just built.
+    fresh = gens[0].bit_generator.state if passes > 1 else None
     for lo in range(0, m, width):
         hi = min(lo + width, m)
+        if lo:
+            _rekey(gens, keys[lo:hi], fresh)
         drifts.append(_simulate_pass(
             spec,
-            _generators(seed, stream_ids[lo:hi], keys[lo:hi]),
+            gens[: hi - lo],
             u[: hi - lo],
             horizon,
             cp_index,
             states[lo:hi],
             exact,
         ))
-    del u
+    del u, gens
     # Tracks are formed over the whole ensemble, one contiguous (M, K)
     # checkpoint at a time, so they do not depend on the pass width: numpy
     # sends a one-row product to another BLAS routine than a wider one, and

@@ -1,5 +1,4 @@
 import bisect
-import gc
 import hashlib
 import tracemalloc
 
@@ -209,11 +208,17 @@ def test_at_most_pass_bound_of_generators_alive(monkeypatch):
         def random(self, *args, **kwargs):
             return self._gen.random(*args, **kwargs)
 
+        def __getattr__(self, name):
+            # Forwards the rest, as perfbench/tracer.py's TimedGenerator does.
+            return getattr(self._gen, name)
+
     def live_rng(*args, **kwargs):
         return LiveGenerator(original(*args, **kwargs))
 
     monkeypatch.setattr(core, "trajectory_rng", live_rng)
     monkeypatch.setattr(core, "PASS_STREAMS", 3)
+    # Passes of 3, 3, 3 and 1: the first builds three generators and each
+    # later pass re-keys them, so three are alive at most.
     paths = simulate_many(spec, 40, 3, 10)
     assert live == {"now": 0, "peak": 3}
     assert paths.states.tobytes() == expected.states.tobytes()
@@ -232,7 +237,9 @@ def test_at_most_pass_bound_of_generators_alive(monkeypatch):
 )
 def test_refill_schedule(monkeypatch, horizon, streams, block_bytes, pass_streams, block):
     # Each refill must go through the generator object's random attribute,
-    # where perfbench/tracer.py's TimedGenerator hooks it.
+    # where perfbench/tracer.py's TimedGenerator hooks it.  The first pass
+    # builds one generator a row and later passes re-key them, so generator
+    # i refills once a block in every pass wider than i.
     spec = new_spec(*FOUR)
     expected = simulate_many(spec, horizon, 3, streams)
     original = core.trajectory_rng
@@ -248,6 +255,9 @@ def test_refill_schedule(monkeypatch, horizon, streams, block_bytes, pass_stream
             self.sizes.append(kwargs["out"].nbytes)
             return self._gen.random(*args, **kwargs)
 
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
     monkeypatch.setattr(
         core, "trajectory_rng", lambda *a, **kw: RefillLog(original(*a, **kw))
     )
@@ -256,10 +266,11 @@ def test_refill_schedule(monkeypatch, horizon, streams, block_bytes, pass_stream
     paths = simulate_many(spec, horizon, 3, streams)
     assert paths.states.tobytes() == expected.states.tobytes()
     width = -(-streams // -(-streams // pass_streams))
+    widths = [min(width, streams - lo) for lo in range(0, streams, width)]
     full, last = divmod(horizon, block)
     schedule = [8 * block] * full + ([8 * last] if last else [])
     assert len(schedule) == -(-horizon // block)
-    assert refills == [schedule] * streams
+    assert refills == [schedule * sum(w > i for w in widths) for i in range(width)]
     # No out array, nor one pass's refills together, exceed the byte bound.
     assert sum(sizes[0] for sizes in refills[:width]) <= block_bytes
 
@@ -361,13 +372,22 @@ def _sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("block_steps", [7, None], ids=["batch7", "default"])
+@pytest.mark.parametrize(
+    "block_steps, pass_streams",
+    [(7, None), (None, None), (7, 5), (None, 5)],
+    ids=["batch7", "default", "batch7-pass5", "pass5"],
+)
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_simulate_many_golden_digests(monkeypatch, name, block_steps):
-    # 7-step blocks (the last one 6) or the default single 1000-step block.
+def test_simulate_many_golden_digests(monkeypatch, name, block_steps, pass_streams):
+    # 7-step blocks (the last one 6) or the default single 1000-step block,
+    # in one pass of 12.  At a pass bound of 5 the 12 streams run as three
+    # passes of 4, the later two on re-keyed generators, in 21-step blocks
+    # (the last one 13) or again one 1000-step block.
     model, vectors, seed, states_digest, tracks_digest = GOLDEN[name]
     if block_steps is not None:
         monkeypatch.setattr(core, "UNIFORM_BLOCK_BYTES", 8 * 12 * block_steps)
+    if pass_streams is not None:
+        monkeypatch.setattr(core, "PASS_STREAMS", pass_streams)
     paths = simulate_many(new_spec(*model), 1000, seed, 12, track_vectors=vectors)
     assert (_sha256(paths.states), _sha256(paths.tracks)) == (
         states_digest,
@@ -652,6 +672,31 @@ def test_stream_keys_match_seed_sequence(seed, narrow, wide, more):
         assert keyed.tolist() == trajectory_rng(seed, s).random(9).tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=_SEEDS,
+    first=st.one_of(_ONE_WORD, _TWO_WORDS),
+    stream=st.one_of(_ONE_WORD, _TWO_WORDS),
+)
+def test_rekeyed_generator_draws_as_built(seed, first, stream):
+    # A generator that served a stream is left mid-buffer: 3-value refills
+    # leave Philox's 4-value buffer part-used and the uint32 draw between
+    # them caches the other half of its 64-bit word.  Re-keyed, it must
+    # draw what a generator built with the new key draws, uint32s too.
+    keys = core._stream_keys(seed, np.array([first, stream], dtype=np.int64))
+    gen = trajectory_rng(seed, first, key=keys[0])
+    fresh = gen.bit_generator.state
+    gen.random(3)
+    gen.integers(2**32, dtype=np.uint32)
+    gen.random(3)
+    state = gen.bit_generator.state
+    assert state["buffer_pos"] == 3 and state["has_uint32"] == 1
+    core._rekey([gen], keys[1:], fresh)
+    built = trajectory_rng(seed, stream, key=keys[1])
+    assert gen.random(9).tolist() == built.random(9).tolist(), (seed, stream)
+    assert gen.integers(2**32, dtype=np.uint32) == built.integers(2**32, dtype=np.uint32)
+
+
 class _CountingGenerator:
     # Forwards random() like the benchmark tracer's proxy does.
     def __init__(self, gen, calls):
@@ -695,32 +740,6 @@ def test_simulate_many_needs_no_seed_sequence(monkeypatch):
         trajectory_rng(3, 1)
     paths = simulate_many(spec, 50, 3, [1, 2**35])
     assert paths.states.tobytes() == expected.states.tobytes()
-
-
-@pytest.mark.parametrize("was_enabled", [True, False])
-def test_collector_paused_for_generator_build_only(monkeypatch, was_enabled):
-    spec = new_spec(*TWO)
-    original = core.trajectory_rng
-    seen = []
-
-    def watching_rng(*args, **kwargs):
-        seen.append(gc.isenabled())
-        if len(seen) == 3:
-            raise RuntimeError("third stream fails")
-        return original(*args, **kwargs)
-
-    enabled = gc.isenabled()
-    try:
-        gc.enable() if was_enabled else gc.disable()
-        simulate_many(spec, 20, 3, 2)
-        assert gc.isenabled() is was_enabled
-        monkeypatch.setattr(core, "trajectory_rng", watching_rng)
-        with pytest.raises(RuntimeError, match="third stream fails"):
-            simulate_many(spec, 20, 3, 5)
-        assert gc.isenabled() is was_enabled
-    finally:
-        gc.enable() if enabled else gc.disable()
-    assert seen == [False, False, False]
 
 
 def test_exact_prefix_sums_predicate():
