@@ -269,43 +269,31 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
-def _float_formatter(values):
-    """A function from any part of a float64 array to its cells, an object
-    array of repr(float(x)) for every x of the part, of the part's shape.
-
-    repr runs once per distinct bit pattern of the whole array: np.unique
-    works on the int64 view, so -0.0 stays apart from 0.0, and NaNs and
-    infinities keep their own cells.  A part's patterns are looked up with
-    np.searchsorted among the sorted distinct ones, so only the cells of
-    the part are built.
-    """
-    patterns = np.unique(np.asarray(values, dtype=np.float64).view(np.int64))
-    strings = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
-
-    def cells(part) -> np.ndarray:
-        bits = np.asarray(part, dtype=np.float64).view(np.int64)
-        return strings[np.searchsorted(patterns, bits)]
-
-    return cells
-
-
 def _float_cells(values) -> np.ndarray:
     """repr(float(x)) for every x of a float64 array, as an object array of
-    the same shape, through _float_formatter."""
-    return _float_formatter(values)(values)
+    the same shape.
+
+    repr runs once per distinct bit pattern: np.unique works on the int64
+    view, so -0.0 stays apart from 0.0, and NaNs and infinities keep their
+    own cells.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+    return strings[inverse.reshape(values.shape)]
 
 
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     """One CSV per prediction row: a line per (trajectory, checkpoint).
 
-    Float cells hold repr of the Python float, formatted by _float_formatter;
+    Float cells hold repr of the Python float, formatted by _float_cells;
     normalized_value is empty where the normalization is not finite, and
     z_value (empty when not finite) and U_hat are filled on the terminal
     checkpoint line only.  Cells and lines are built by _sample_chunks, at
     most max(_CSV_LINES, C) lines at a time for C checkpoints, the lines
-    joined in C, so of the text and cells only one chunk's, each column's
-    distinct strings and the per-trajectory z_value and U_hat cells are
-    held, whatever the checkpoint grid.
+    joined in C, so of the text and cells only one chunk's, each checkpoint
+    column's distinct strings, an index per (trajectory, checkpoint) and the
+    per-trajectory z_value and U_hat cells are held, whatever the grid.
     """
     written = []
     for i, outcome in enumerate(report.outcomes):
@@ -321,19 +309,34 @@ def _sample_chunks(report: EnsembleReport, outcome):
     """Yield one prediction row's CSV lines in chunks of whole trajectories.
 
     A chunk holds max(1, _CSV_LINES // C) trajectories for C checkpoints,
-    so at most max(_CSV_LINES, C) lines.  The cells of the (ensemble,
-    checkpoint) columns are built per chunk too, so no whole column of cells
-    is ever held.
+    so at most max(_CSV_LINES, C) lines.  Each checkpoint column is
+    formatted once, one raw and one normalized string per distinct bit
+    pattern, and a cell is an index into those strings, so no whole column
+    of cells is ever held.  A chunk is one join of a flat array of its
+    first trajectory id and each line's checkpoint, raw, normalized and
+    tail cells; a tail ends its line and, but for the chunk's last, carries
+    the next line's trajectory id.
     """
     row = outcome.prediction
     cps = report.checkpoints
     raw = report.track_values[:, :, report.track_labels.index(row.label)]
     cp_cells = np.array([str(int(n)) for n in cps], dtype=object)
+    # Cell (t, j) is entry index[t, j] of raw_strings and norm_strings,
+    # which hold column 0's strings, then column 1's, and so on.
+    index = np.empty(raw.shape, dtype=np.intp)
+    raw_strings, norm_strings, offset = [], [], 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        norm = row.normalization.at(cps)
-        normalized = raw / norm[None, :]
-    blank_norm = ~np.isfinite(norm)
-    format_raw, format_normalized = _float_formatter(raw), _float_formatter(normalized)
+        for j, scale in enumerate(row.normalization.at(cps)):
+            patterns, inverse = np.unique(raw[:, j].view(np.int64), return_inverse=True)
+            index[:, j] = inverse + offset
+            offset += patterns.size
+            distinct = patterns.view(np.float64)
+            raw_strings.append(_float_cells(distinct))
+            norm_strings.append(
+                _float_cells(distinct / scale) if np.isfinite(scale)
+                else np.full(patterns.size, "", dtype=object)
+            )
+    raw_strings, norm_strings = np.concatenate(raw_strings), np.concatenate(norm_strings)
     z_cells = np.full(report.ensemble, "", dtype=object)
     if outcome.z_sample is not None:
         z_cells = _float_cells(outcome.z_sample)
@@ -341,24 +344,21 @@ def _sample_chunks(report: EnsembleReport, outcome):
     u_cells = np.full(report.ensemble, "", dtype=object)
     if row.limit_kind is LimitKind.NORMAL_MIXTURE and report.u_hats is not None:
         u_cells = _float_cells(report.u_hats)
-    last_tails = z_cells + "," + u_cells + "\n"
+    ends = z_cells + "," + u_cells + "\n"
     chunk = max(1, _CSV_LINES // cps.size)
     for lo in range(0, report.ensemble, chunk):
         hi = min(lo + chunk, report.ensemble)
-        shape = (hi - lo, cps.size)
-        ids = np.array(list(map(str, range(lo, hi))), dtype=object)
-        norm_cells = format_normalized(normalized[lo:hi])
-        norm_cells[:, blank_norm] = ""
-        tails = np.full(shape, ",\n", dtype=object)
-        tails[:, -1] = last_tails[lo:hi]
-        columns = (
-            np.broadcast_to(ids[:, None], shape),
-            np.broadcast_to(cp_cells, shape),
-            format_raw(raw[lo:hi]),
-            norm_cells,
-            tails,
-        )
-        yield "".join(map(",".join, zip(*(c.ravel().tolist() for c in columns))))
+        ids = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+        flat = np.empty(1 + (hi - lo) * cps.size * 4, dtype=object)
+        flat[0] = ids[0]
+        cells = flat[1:].reshape(hi - lo, cps.size, 4)
+        cells[:, :, 0] = cp_cells
+        cells[:, :, 1] = raw_strings[index[lo:hi]]
+        cells[:, :, 2] = norm_strings[index[lo:hi]]
+        cells[:, :-1, 3] = (",\n" + ids[:-1])[:, None]
+        cells[:, -1, 3] = ends[lo:hi] + ids[1:]
+        cells[-1, -1, 3] = ends[hi - 1]
+        yield ",".join(flat.tolist())
 
 
 def _outcome_lines(report: EnsembleReport) -> list[str]:

@@ -431,17 +431,26 @@ def _hand_built_report():
 
 
 def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
-    report, mixture = _hand_built_report()
+    drawn, mixture = _hand_built_report()
+    # Trajectory t holds one value at every checkpoint of every row: one bit
+    # pattern under the mass row's norms 1, 2, 4 and 9, a NaN, -0.0 and 0.0.
+    # Checkpoint 0's power norms are NaN.  A writer that shares normalized
+    # strings across columns, or tells cells apart by float equality, fails.
+    values = np.array([0.1 + 0.2, math.nan, -0.0, 0.0])[:, None, None]
+    pinned = dataclasses.replace(
+        drawn, track_values=np.broadcast_to(values, drawn.track_values.shape).copy()
+    )
     # Line budgets over 4 checkpoints: one trajectory per chunk, three (which
     # do not divide the 4 trajectories), and the whole ensemble.
-    for budget in (1, 12, 4096):
-        monkeypatch.setattr("urnlab.cli._CSV_LINES", budget)
-        out = tmp_path / str(budget)
-        out.mkdir()
-        names = _write_sample_csvs(report, out)
-        assert len(names) == len(report.outcomes)
-        for name, outcome in zip(names, report.outcomes):
-            assert (out / name).read_text() == _reference_csv(report, outcome)
+    for tag, report in (("pinned", pinned), ("drawn", drawn)):
+        for budget in (1, 12, 4096):
+            monkeypatch.setattr("urnlab.cli._CSV_LINES", budget)
+            out = tmp_path / f"{tag}-{budget}"
+            out.mkdir()
+            names = _write_sample_csvs(report, out)
+            assert len(names) == len(report.outcomes)
+            for name, outcome in zip(names, report.outcomes):
+                assert (out / name).read_text() == _reference_csv(report, outcome)
     mixture_csv = names[report.track_labels.index(mixture.label)]
     lines = (out / mixture_csv).read_text().splitlines()
     terminal = [line.split(",") for line in lines if line.startswith("1,8,")]
