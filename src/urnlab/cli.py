@@ -34,6 +34,7 @@ Artifacts are deterministic: the same config writes byte-identical files
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ReplacementSpec, _validated_checkpoints, new_spec
-from .laws import LawPrediction, LimitKind, pi_n, predict
+from .laws import LawPrediction, LimitKind, Normalization, pi_n, predict
 from .oracle import (
     MAX_ENUM_STEPS,
     compensated_martingale_check,
@@ -52,7 +53,9 @@ from .spectral import StructureClass, classify
 from .verify import (
     DEFAULT_MAX_DRAWS,
     EnsembleReport,
+    PredictionOutcome,
     ReportVerdict,
+    _checked_scale,
     evaluate_report,
     run_ensemble,
 )
@@ -110,15 +113,10 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config.{key}: must be a positive integer")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigError("config.seed: must be a nonnegative integer")
-    scale = cfg["variance_scale"]
-    # JSON's NaN, Infinity and true would parse as numbers; the upper bound
-    # also rejects integers too large for a float.
-    if (
-        not isinstance(scale, (int, float))
-        or isinstance(scale, bool)
-        or not 0 < scale <= sys.float_info.max
-    ):
-        raise ConfigError("config.variance_scale: must be a positive finite number")
+    try:
+        _checked_scale(cfg["variance_scale"])
+    except ValueError as exc:
+        raise ConfigError(f"config.{exc}") from exc
     cps = cfg["checkpoints"]
     if cps != "geometric":
         if not isinstance(cps, list) or not cps or any(
@@ -420,6 +418,30 @@ def _verdict_lines(verdict: ReportVerdict) -> list[str]:
     return lines
 
 
+def _record(obj: LawPrediction | PredictionOutcome) -> dict:
+    """A prediction or outcome as a summary record, a key per dataclass field.
+
+    The limit kind gives its value and the normalization its name.  A
+    prediction's vector is rounded to 12 places; an outcome names its
+    prediction by label and leaves out its arrays: the sample CSVs hold the
+    samples, report.txt the co-limit gap medians.
+    """
+    record = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, LawPrediction):
+            record["label"] = value.label
+        elif isinstance(value, LimitKind):
+            record[field.name] = value.value
+        elif isinstance(value, Normalization):
+            record[field.name] = str(value)
+        elif isinstance(obj, LawPrediction) and isinstance(value, np.ndarray):
+            record[field.name] = np.round(value, 12).tolist()
+        elif "ndarray" not in str(field.type):
+            record[field.name] = value
+    return record
+
+
 def _summary_payload(
     klass: StructureClass,
     rows: tuple[LawPrediction, ...],
@@ -437,25 +459,7 @@ def _summary_payload(
         "secondary_eigenvalue": klass.lam,
         "dominant_eigenvalue": klass.beta,
         "warnings": list(klass.warnings),
-        "predictions": [
-            {
-                "label": row.label,
-                "vector": np.round(row.vector, 12).tolist(),
-                "limit_kind": row.limit_kind.value,
-                "normalization": str(row.normalization),
-                "variance": row.variance,
-                "mixture_coefficient": row.mixture_coefficient,
-                "mixing_label": row.mixing_label,
-                "initial_value": row.initial_value,
-                "martingale_eigenvalue": row.martingale_eigenvalue,
-                "limit_mean": row.limit_mean,
-                "limit_variance": row.limit_variance,
-                "positive_limit": row.positive_limit,
-                "co_limit_label": row.co_limit_label,
-                "notes": row.notes,
-            }
-            for row in rows
-        ],
+        "predictions": [_record(row) for row in rows],
     }
     if report is not None:
         payload["ensemble"] = {
@@ -465,38 +469,12 @@ def _summary_payload(
             "variance_scale": report.variance_scale,
             "checkpoints": report.checkpoints.tolist(),
             "max_mass_drift": report.max_mass_drift,
-            "outcomes": [
-                {
-                    "label": o.prediction.label,
-                    "sample_mean": o.sample_mean,
-                    "sample_variance": o.sample_variance,
-                    "expected_mean": o.expected_mean,
-                    "mean_se": o.mean_se,
-                    "ks_stat": o.ks_stat,
-                    "ks_pvalue": o.ks_pvalue,
-                    "dropped": o.dropped,
-                    "median_tail_fluctuation": o.median_tail_fluctuation,
-                    "median_terminal_abs": o.median_terminal_abs,
-                    "all_positive": o.all_positive,
-                    "constant_deviation": o.constant_deviation,
-                }
-                for o in report.outcomes
-            ],
+            "outcomes": [_record(o) for o in report.outcomes],
         }
     if verdict is not None:
         payload["verdicts"] = {
             "overall": verdict.passed,
-            "rows": [
-                {
-                    "label": row.label,
-                    "passed": row.passed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in row.checks
-                    ],
-                }
-                for row in verdict.rows
-            ],
+            "rows": [dataclasses.asdict(row) for row in verdict.rows],
         }
     if oracle_lines is not None:
         payload["oracle"] = {"passed": oracle_ok, "checks": oracle_lines}

@@ -18,6 +18,8 @@ as a negative control.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,14 @@ def ks_standard_normal(sample) -> tuple[float, float]:
     sample sizes the ensemble layer produces (hundreds and up; fewer than
     50 points is refused).
     """
-    z = np.sort(np.asarray(sample, dtype=float))
+    z = np.asarray(sample, dtype=float)
+    nan = np.flatnonzero(np.isnan(z))
+    if nan.size:
+        raise ValueError(
+            f"NaN in the sample: {nan.size} of {z.size} values, the first at "
+            f"index {nan[0]}"
+        )
+    z = np.sort(z)
     m = z.size
     if m < 50:
         raise ValueError(f"need at least 50 points for a stable KS value, got {m}")
@@ -95,6 +104,17 @@ def ks_standard_normal(sample) -> tuple[float, float]:
     return d, float(min(1.0, max(0.0, total)))
 
 
+def _checked_scale(value) -> float:
+    # A bool is an int, JSON's NaN and Infinity parse as floats, and the upper
+    # bound also rejects integers too large for a float.
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):
+        raise ValueError(
+            f"variance_scale: must be a positive finite number, got {value!r}"
+        )
+    return float(value)
+
+
 def studentize(
     sample,
     prediction: LawPrediction,
@@ -106,11 +126,12 @@ def studentize(
     Returns (z, dropped), z aligned with the sample.  Normal tracks divide
     by the predicted standard deviation; mixture tracks divide per
     trajectory by sqrt(coefficient * u_hat) and drop trajectories with u_hat
-    below U_FLOOR, whose z is NaN.  variance_scale multiplies the predicted
-    variance and exists so callers can show that a wrong variance is caught;
-    leave it at 1.
+    below U_FLOOR, whose z is NaN.  variance_scale, a positive finite number,
+    multiplies the predicted variance and exists so callers can show that a
+    wrong variance is caught; leave it at 1.
     """
     x = np.asarray(sample, dtype=float)
+    variance_scale = _checked_scale(variance_scale)
     if prediction.limit_kind is LimitKind.NORMAL:
         var = (prediction.variance or 0.0) * variance_scale
         if var <= 0.0:
@@ -235,6 +256,7 @@ def run_ensemble(
     if cps[-1] != horizon:
         raise ValueError("checkpoint grid must end at the horizon")
     labels = _row_labels(predictions, rows)
+    variance_scale = _checked_scale(variance_scale)
     paths = simulate_many(
         spec,
         horizon,
@@ -338,7 +360,7 @@ def run_ensemble(
         horizon=horizon,
         ensemble=ensemble,
         seed=seed,
-        variance_scale=float(variance_scale),
+        variance_scale=variance_scale,
         checkpoints=cps,
         u_hats=u_hats,
         max_mass_drift=paths.max_mass_drift,
@@ -368,7 +390,7 @@ class ReportVerdict:
     rows: tuple[RowVerdict, ...]
 
 
-def _mean_check(outcome: PredictionOutcome) -> CheckResult | None:
+def _mean_check(outcome: PredictionOutcome, report: EnsembleReport):
     if outcome.expected_mean is None:
         return None
     tol = MEAN_SE_FACTOR * outcome.mean_se + MASS_TOL
@@ -395,18 +417,70 @@ def _ks_check(outcome: PredictionOutcome, coeff: float, name: str) -> CheckResul
     )
 
 
-def _colimit_check(outcome: PredictionOutcome, checkpoints: np.ndarray) -> CheckResult:
-    medians = outcome.colimit_gap_medians
-    horizon = int(checkpoints[-1])
-    picked: list[int] = []
-    for frac in COLIMIT_FRACTIONS:
-        target = frac * horizon
-        candidates = np.where(np.isfinite(medians))[0]
-        if candidates.size == 0:
-            break
-        best = int(candidates[np.argmin(np.abs(checkpoints[candidates] - target))])
-        if best not in picked:
-            picked.append(best)
+def _ks_normal_check(outcome: PredictionOutcome, report: EnsembleReport):
+    notes = outcome.prediction.notes
+    if "unverified" in notes:
+        return CheckResult("ks-normal", True, "skipped: " + notes)
+    return _ks_check(outcome, KS_NORMAL_COEFF, "ks-normal")
+
+
+# Tracks normalized by n^a log n approach their limit at a 1/log n rate, so
+# settling and strict positivity of the terminal sample are out of reach at
+# any practical horizon; those tracks are judged by the shared-limit trend.
+def _slow(outcome: PredictionOutcome) -> bool:
+    return outcome.prediction.normalization.kind == "power_log"
+
+
+def _terminal_floor(outcome: PredictionOutcome) -> float:
+    return max(outcome.median_terminal_abs or 0.0, 1e-12)
+
+
+def _tail_check(outcome: PredictionOutcome, report: EnsembleReport):
+    fluct = outcome.median_tail_fluctuation
+    if _slow(outcome):
+        return CheckResult(
+            "tail-settle",
+            True,
+            "skipped: logarithmic normalization settles too slowly for a "
+            "windowed check",
+        )
+    if fluct is None:
+        return CheckResult("tail-settle", True, "no checkpoints inside the tail window")
+    scale = (TAIL_REFERENCE_HORIZON / report.horizon) ** TAIL_SCALING_EXPONENT
+    threshold = TAIL_RATIO * scale * _terminal_floor(outcome)
+    return CheckResult(
+        "tail-settle", fluct <= threshold, f"median fluct {fluct:.4g} vs {threshold:.4g}"
+    )
+
+
+def _nondegenerate_check(outcome: PredictionOutcome, report: EnsembleReport):
+    floor = _terminal_floor(outcome)
+    nondeg = NONDEGENERACY_REL * max(floor * floor, 1e-12)
+    return CheckResult(
+        "non-degenerate",
+        outcome.sample_variance > nondeg,
+        f"terminal variance {outcome.sample_variance:.4g} vs {nondeg:.3g}",
+    )
+
+
+def _positive_check(outcome: PredictionOutcome, report: EnsembleReport):
+    if not outcome.prediction.positive_limit or _slow(outcome):
+        return None
+    if outcome.all_positive:
+        return CheckResult("positive", True, "all terminal values positive")
+    return CheckResult("positive", False, "some terminal values are not positive")
+
+
+def _colimit_check(outcome: PredictionOutcome, report: EnsembleReport):
+    medians, checkpoints = outcome.colimit_gap_medians, report.checkpoints
+    if medians is None:
+        return None
+    finite = np.flatnonzero(np.isfinite(medians))
+    nearest = (
+        int(finite[np.argmin(np.abs(checkpoints[finite] - frac * report.horizon))])
+        for frac in COLIMIT_FRACTIONS
+    )
+    picked = list(dict.fromkeys(nearest)) if finite.size else []
     if len(picked) < 3:
         return CheckResult(
             "colimit-trend", True, "checkpoint grid too narrow for a trend check"
@@ -419,113 +493,59 @@ def _colimit_check(outcome: PredictionOutcome, checkpoints: np.ndarray) -> Check
     return CheckResult("colimit-trend", decreasing, pairs)
 
 
+def _limit_variance_check(outcome: PredictionOutcome, report: EnsembleReport):
+    expected, variance = outcome.prediction.limit_variance, outcome.sample_variance
+    if expected is None:
+        return None
+    gap, tol = abs(variance - expected), VARIANCE_RTOL * expected
+    return CheckResult(
+        "limit-variance",
+        gap <= tol,
+        f"|{variance:.5g} - {expected:g}| = {gap:.3g} vs {tol:.3g}",
+    )
+
+
+# The checks of each limit kind, in print order; _mean_check closes every
+# row.  A builder takes (outcome, report) and returns a CheckResult, or None
+# where its check does not apply to the row.
+_CHECKS = {
+    LimitKind.DETERMINISTIC_CONSTANT: (
+        lambda o, r: CheckResult(
+            "mass-law",
+            o.constant_deviation <= MASS_TOL,
+            f"max |normalized - {o.prediction.limit_mean:g}| = "
+            f"{o.constant_deviation:.3g}",
+        ),
+    ),
+    LimitKind.EXACTLY_CONSTANT_TRACK: (
+        lambda o, r: CheckResult(
+            "constant-track",
+            o.constant_deviation <= CONSTANT_TOL,
+            f"max |track - {o.prediction.initial_value:g}| = "
+            f"{o.constant_deviation:.3g}",
+        ),
+    ),
+    LimitKind.NORMAL: (_ks_normal_check,),
+    LimitKind.NORMAL_MIXTURE: (
+        lambda o, r: _ks_check(o, KS_MIXTURE_COEFF, "ks-mixture"),
+    ),
+    LimitKind.AS_RANDOM_VARIABLE: (
+        _tail_check,
+        _nondegenerate_check,
+        _positive_check,
+        _colimit_check,
+        _limit_variance_check,
+    ),
+}
+
+
 def evaluate_report(report: EnsembleReport) -> ReportVerdict:
     """Apply the verdict thresholds to every measured track."""
     rows = []
     for outcome in report.outcomes:
-        row = outcome.prediction
-        checks: list[CheckResult] = []
-        unverified = "unverified" in row.notes
-        kind = row.limit_kind
-        if kind is LimitKind.DETERMINISTIC_CONSTANT:
-            checks.append(
-                CheckResult(
-                    "mass-law",
-                    outcome.constant_deviation <= MASS_TOL,
-                    f"max |normalized - {row.limit_mean:g}| = "
-                    f"{outcome.constant_deviation:.3g}",
-                )
-            )
-        elif kind is LimitKind.EXACTLY_CONSTANT_TRACK:
-            checks.append(
-                CheckResult(
-                    "constant-track",
-                    outcome.constant_deviation <= CONSTANT_TOL,
-                    f"max |track - {row.initial_value:g}| = "
-                    f"{outcome.constant_deviation:.3g}",
-                )
-            )
-        elif kind is LimitKind.NORMAL:
-            if unverified:
-                checks.append(
-                    CheckResult("ks-normal", True, "skipped: " + row.notes)
-                )
-            else:
-                checks.append(_ks_check(outcome, KS_NORMAL_COEFF, "ks-normal"))
-        elif kind is LimitKind.NORMAL_MIXTURE:
-            checks.append(_ks_check(outcome, KS_MIXTURE_COEFF, "ks-mixture"))
-        elif kind is LimitKind.AS_RANDOM_VARIABLE:
-            # Tracks normalized by n^a log n approach their limit at a
-            # 1/log n rate, so settling and strict positivity of the
-            # terminal sample are out of reach at any practical horizon;
-            # those tracks are judged by the shared-limit trend instead.
-            slow = row.normalization.kind == "power_log"
-            floor = max(outcome.median_terminal_abs or 0.0, 1e-12)
-            if slow:
-                checks.append(
-                    CheckResult(
-                        "tail-settle",
-                        True,
-                        "skipped: logarithmic normalization settles too "
-                        "slowly for a windowed check",
-                    )
-                )
-            elif outcome.median_tail_fluctuation is None:
-                checks.append(
-                    CheckResult(
-                        "tail-settle", True, "no checkpoints inside the tail window"
-                    )
-                )
-            else:
-                scale = (TAIL_REFERENCE_HORIZON / report.horizon) ** TAIL_SCALING_EXPONENT
-                threshold = TAIL_RATIO * scale * floor
-                checks.append(
-                    CheckResult(
-                        "tail-settle",
-                        outcome.median_tail_fluctuation <= threshold,
-                        f"median fluct {outcome.median_tail_fluctuation:.4g} vs "
-                        f"{threshold:.4g}",
-                    )
-                )
-            nondeg = NONDEGENERACY_REL * max(floor * floor, 1e-12)
-            checks.append(
-                CheckResult(
-                    "non-degenerate",
-                    outcome.sample_variance > nondeg,
-                    f"terminal variance {outcome.sample_variance:.4g} vs {nondeg:.3g}",
-                )
-            )
-            if row.positive_limit and not slow:
-                checks.append(
-                    CheckResult(
-                        "positive",
-                        bool(outcome.all_positive),
-                        "all terminal values positive"
-                        if outcome.all_positive
-                        else "some terminal values are not positive",
-                    )
-                )
-            if outcome.colimit_gap_medians is not None:
-                checks.append(_colimit_check(outcome, report.checkpoints))
-            if row.limit_variance is not None:
-                gap = abs(outcome.sample_variance - row.limit_variance)
-                tol = VARIANCE_RTOL * row.limit_variance
-                checks.append(
-                    CheckResult(
-                        "limit-variance",
-                        gap <= tol,
-                        f"|{outcome.sample_variance:.5g} - {row.limit_variance:g}| "
-                        f"= {gap:.3g} vs {tol:.3g}",
-                    )
-                )
-        mean_check = _mean_check(outcome)
-        if mean_check is not None:
-            checks.append(mean_check)
+        builders = (*_CHECKS[outcome.prediction.limit_kind], _mean_check)
+        checks = tuple(filter(None, (build(outcome, report) for build in builders)))
         rows.append(
-            RowVerdict(
-                label=row.label,
-                passed=all(c.passed for c in checks),
-                checks=tuple(checks),
-            )
+            RowVerdict(outcome.prediction.label, all(c.passed for c in checks), checks)
         )
     return ReportVerdict(passed=all(r.passed for r in rows), rows=tuple(rows))

@@ -3,7 +3,10 @@ import pytest
 import scipy.stats
 
 from urnlab import (
+    EnsembleReport,
     LimitKind,
+    Normalization,
+    PredictionOutcome,
     classify,
     evaluate_report,
     ks_standard_normal,
@@ -13,6 +16,7 @@ from urnlab import (
     studentize,
     verify,
 )
+from urnlab.laws import LawPrediction
 
 TWO = new_spec([[0.7, 0.3], [0.4, 0.6]], [4 / 7, 3 / 7])
 MIX = new_spec(
@@ -193,3 +197,185 @@ def test_policy_thresholds_shape_verdicts(monkeypatch):
     assert evaluate_report(rep).passed
     monkeypatch.setattr(verify, "KS_NORMAL_COEFF", 0.001)
     assert not evaluate_report(rep).passed
+
+
+# Synthetic outcomes, no simulation: each case pins the exact checks
+# evaluate_report renders for one row, in order.  The shared grid reaches
+# 1%, 10% and 100% of the horizon, which the colimit-trend check picks.
+_HORIZON = 10_000
+_GRID = np.array([0, 10, 100, 1_000, 10_000])
+_PERIODIC = "dominant block is periodic; this normal claim is unverified"
+
+
+def _outcome(kind, normalization=Normalization.power(0.5), row=None, **fields):
+    prediction = LawPrediction(
+        label="x", vector=np.ones(2), normalization=normalization,
+        limit_kind=kind, **(row or {}),
+    )
+    measured = dict(
+        raw_terminal=np.ones(3), normalized_terminal=np.ones(3), sample_mean=0.0,
+        sample_variance=1.0, expected_mean=None, mean_se=0.0,
+    )
+    measured.update(fields)
+    return PredictionOutcome(prediction=prediction, **measured)
+
+
+def _settled(**fields):
+    # An almost-sure row with a measured tail; its threshold at this horizon
+    # is 0.05 * (1e6 / 1e4)**0.25 * 2 = 0.3162.
+    measured = dict(median_tail_fluctuation=0.1, median_terminal_abs=2.0)
+    measured.update(fields)
+    return _outcome(LimitKind.AS_RANDOM_VARIABLE, **measured)
+
+
+_NONDEG = ("non-degenerate", True, "terminal variance 1 vs 4e-06")
+_SETTLED = ("tail-settle", True, "median fluct 0.1 vs 0.3162")
+_VERDICT_CASES = {
+    "mass-law": (
+        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization.mass(),
+                 row=dict(limit_mean=1.0), constant_deviation=2e-10,
+                 sample_mean=1.0, expected_mean=1.0),
+        [("mass-law", True, "max |normalized - 1| = 2e-10"),
+         ("mean", True, "|1 - 1| = 0 vs 1e-09")],
+    ),
+    "mass-law-fail": (
+        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization.mass(),
+                 row=dict(limit_mean=1.0), constant_deviation=1e-8),
+        [("mass-law", False, "max |normalized - 1| = 1e-08")],
+    ),
+    "constant-track": (
+        _outcome(LimitKind.EXACTLY_CONSTANT_TRACK, row=dict(initial_value=0.25),
+                 constant_deviation=0.0),
+        [("constant-track", True, "max |track - 0.25| = 0")],
+    ),
+    "ks-normal-pass": (
+        _outcome(LimitKind.NORMAL, z_sample=np.zeros(100), ks_stat=0.1, ks_pvalue=0.3,
+                 sample_mean=0.5, expected_mean=0.25, mean_se=0.125),
+        [("ks-normal", True, "D = 0.1000 vs 0.2992 (m = 100, p = 0.3)"),
+         ("mean", True, "|0.5 - 0.25| = 0.25 vs 0.5")],
+    ),
+    "ks-normal-fail": (
+        _outcome(LimitKind.NORMAL, z_sample=np.zeros(100), ks_stat=0.5,
+                 ks_pvalue=1e-20, sample_mean=0.5, expected_mean=0.0, mean_se=0.0),
+        [("ks-normal", False, "D = 0.5000 vs 0.2992 (m = 100, p = 1e-20)"),
+         ("mean", False, "|0.5 - 0| = 0.5 vs 1e-09")],
+    ),
+    "ks-normal-unverified": (
+        _outcome(LimitKind.NORMAL, row=dict(notes=_PERIODIC), z_sample=np.zeros(100),
+                 ks_stat=0.9, ks_pvalue=0.0),
+        [("ks-normal", True, "skipped: " + _PERIODIC)],
+    ),
+    "ks-normal-too-small": (
+        _outcome(LimitKind.NORMAL, z_sample=np.zeros(40)),
+        [("ks-normal", False, "sample too small for a KS comparison")],
+    ),
+    "ks-mixture-dropped": (
+        _outcome(LimitKind.NORMAL_MIXTURE, z_sample=np.zeros(400), dropped=4,
+                 ks_stat=0.1, ks_pvalue=0.5),
+        [("ks-mixture", True, "D = 0.1000 vs 0.2529 (m = 396, p = 0.5, dropped 4)")],
+    ),
+    "tail-power-log": (
+        _settled(normalization=Normalization.power_log(1.0),
+                 row=dict(positive_limit=True), median_tail_fluctuation=9.0,
+                 all_positive=False),
+        [("tail-settle", True, "skipped: logarithmic normalization settles too "
+          "slowly for a windowed check"), _NONDEG],
+    ),
+    "tail-no-window": (
+        _settled(median_tail_fluctuation=None),
+        [("tail-settle", True, "no checkpoints inside the tail window"), _NONDEG],
+    ),
+    "tail-fail-degenerate": (
+        _settled(median_tail_fluctuation=0.5, sample_variance=0.0),
+        [("tail-settle", False, "median fluct 0.5 vs 0.3162"),
+         ("non-degenerate", False, "terminal variance 0 vs 4e-06")],
+    ),
+    "positive": (
+        _settled(row=dict(positive_limit=True), all_positive=True),
+        [_SETTLED, _NONDEG, ("positive", True, "all terminal values positive")],
+    ),
+    "not-positive": (
+        _settled(row=dict(positive_limit=True), all_positive=False),
+        [_SETTLED, _NONDEG,
+         ("positive", False, "some terminal values are not positive")],
+    ),
+    "colimit-too-narrow": (
+        _settled(colimit_gap_medians=np.array([np.nan, np.nan, np.nan, np.nan, 1.0])),
+        [_SETTLED, _NONDEG,
+         ("colimit-trend", True, "checkpoint grid too narrow for a trend check")],
+    ),
+    "colimit-decreasing": (
+        _settled(colimit_gap_medians=np.array([np.nan, 5.0, 3.0, 2.0, 1.0])),
+        [_SETTLED, _NONDEG,
+         ("colimit-trend", True, "n=100: 3, n=1000: 2, n=10000: 1")],
+    ),
+    "colimit-not-decreasing": (
+        _settled(colimit_gap_medians=np.array([np.nan, 5.0, 3.0, 3.0, 1.0])),
+        [_SETTLED, _NONDEG,
+         ("colimit-trend", False, "n=100: 3, n=1000: 3, n=10000: 1")],
+    ),
+    "every-almost-sure-check": (
+        _settled(row=dict(positive_limit=True, limit_variance=2.0), all_positive=True,
+                 colimit_gap_medians=np.array([np.nan, 5.0, 3.0, 2.0, 1.0]),
+                 sample_variance=2.05, sample_mean=1.0, expected_mean=1.0),
+        [_SETTLED, ("non-degenerate", True, "terminal variance 2.05 vs 4e-06"),
+         ("positive", True, "all terminal values positive"),
+         ("colimit-trend", True, "n=100: 3, n=1000: 2, n=10000: 1"),
+         ("limit-variance", True, "|2.05 - 2| = 0.05 vs 0.1"),
+         ("mean", True, "|1 - 1| = 0 vs 1e-09")],
+    ),
+    "limit-variance-pass": (
+        _settled(row=dict(limit_variance=2.0), sample_variance=2.05),
+        [_SETTLED, ("non-degenerate", True, "terminal variance 2.05 vs 4e-06"),
+         ("limit-variance", True, "|2.05 - 2| = 0.05 vs 0.1")],
+    ),
+    "limit-variance-fail": (
+        _settled(row=dict(limit_variance=2.0), sample_variance=2.5,
+                 sample_mean=1.0, expected_mean=1.0, mean_se=0.25),
+        [_SETTLED, ("non-degenerate", True, "terminal variance 2.5 vs 4e-06"),
+         ("limit-variance", False, "|2.5 - 2| = 0.5 vs 0.1"),
+         ("mean", True, "|1 - 1| = 0 vs 1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_VERDICT_CASES))
+def test_evaluate_report_renders_every_check_branch(case):
+    outcome, expected = _VERDICT_CASES[case]
+    report = EnsembleReport(
+        horizon=_HORIZON, ensemble=3, seed=0, variance_scale=1.0, checkpoints=_GRID,
+        u_hats=None, max_mass_drift=0.0, outcomes=(outcome,),
+    )
+    (row,) = evaluate_report(report).rows
+    assert [(c.name, c.passed, c.detail) for c in row.checks] == expected
+    assert row.passed is all(passed for _, passed, _ in expected)
+
+
+def test_verdict_cases_cover_every_limit_kind():
+    kinds = {outcome.prediction.limit_kind for outcome, _ in _VERDICT_CASES.values()}
+    assert kinds == set(LimitKind)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_variance_scale_is_refused_before_any_draw(monkeypatch, scale):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate_many was called")
+
+    monkeypatch.setattr(verify, "simulate_many", no_draws)
+    k = classify(TWO)
+    message = "variance_scale: must be a positive finite number"
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, variance_scale=scale)
+    fluct = [r for r in predict(k) if r.limit_kind is LimitKind.NORMAL][0]
+    with pytest.raises(ValueError, match=message):
+        studentize(np.array([0.4, -0.4]), fluct, variance_scale=scale)
+
+
+def test_ks_refuses_nan_and_accepts_infinities():
+    sample = np.linspace(-2.0, 2.0, 100)
+    sample[[7, 30, 31]] = np.nan
+    with pytest.raises(ValueError, match="3 of 100 values, the first at index 7"):
+        ks_standard_normal(sample)
+    sample[[7, 30, 31]] = [np.inf, -np.inf, np.inf]
+    d, p = ks_standard_normal(sample)
+    assert 0.0 < d < 1.0 and 0.0 <= p <= 1.0
