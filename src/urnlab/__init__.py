@@ -12,7 +12,8 @@ cli wires everything to JSON configs and artifact files.
 `import urnlab` loads none of them.  A public name, or a layer named as an
 attribute (`urnlab.verify`), imports its home module on first use (PEP 562),
 so `from urnlab import classify` loads core and spectral only.  The cli
-module imports every layer when it loads.
+module loads core, spectral and laws, which classify and predict need;
+oracle-check adds oracle, simulate and verify add verify, and all adds both.
 """
 __version__ = "0.1.0"
 

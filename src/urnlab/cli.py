@@ -38,27 +38,35 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ReplacementSpec, _validated_checkpoints, new_spec
-from .laws import LawPrediction, LimitKind, Normalization, pi_n, predict
-from .oracle import (
-    MAX_ENUM_STEPS,
-    compensated_martingale_check,
-    exact_conditional_variance_check,
-    exact_mean_linear,
-)
-from .spectral import StructureClass, classify
-from .verify import (
+from .core import (
     DEFAULT_MAX_DRAWS,
-    EnsembleReport,
-    PredictionOutcome,
-    ReportVerdict,
+    ReplacementSpec,
     _checked_scale,
-    evaluate_report,
-    run_ensemble,
+    _validated_checkpoints,
+    new_spec,
 )
+from .laws import LawPrediction, LimitKind, Normalization, pi_n, predict
+from .spectral import StructureClass, classify
+
+if TYPE_CHECKING:
+    from .verify import EnsembleReport, PredictionOutcome, ReportVerdict
+
+# The names taken from the layers only some commands run.  _load binds them
+# into this module's globals on first use, so classify and predict never
+# import oracle or verify.  Calls still go through the module globals: a
+# wrapper set beforehand (perfbench's tracer, a test's monkeypatch) is kept.
+_LAZY = {
+    "oracle": (
+        "compensated_martingale_check",
+        "exact_conditional_variance_check",
+        "exact_mean_linear",
+    ),
+    "verify": ("evaluate_report", "run_ensemble"),
+}
 
 _CONFIG_DEFAULTS = {
     "replacement_matrix": None,
@@ -79,6 +87,22 @@ _ORACLE_VARIANCE_STEPS = 6
 # Sample-CSV lines (trajectories x checkpoints) per joined block of text;
 # a block always holds at least one trajectory.
 _CSV_LINES = 4096
+
+
+def _load(layer: str) -> None:
+    # __import__ at level 1, as `from . import oracle` does, so that
+    # `python -X importtime` still reports the module.
+    module = __import__(layer, globals(), None, (), 1)
+    for name in _LAZY[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for layer, names in _LAZY.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -223,9 +247,10 @@ def _run_oracle_checks(
     divides by max|v|**2.  classify's eigen vectors have max|v| = 1, where
     nothing is rescaled.  Returns (lines, all_passed).
     """
+    _load("oracle")
     lines = []
     ok = True
-    n_mean = min(_ORACLE_MEAN_STEPS, MAX_ENUM_STEPS)
+    n_mean = _ORACLE_MEAN_STEPS
     for row in rows:
         a = row.martingale_eigenvalue
         if a is None:
@@ -240,7 +265,7 @@ def _run_oracle_checks(
             f"{'PASS' if passed else 'FAIL'} mean-identity {row.label}: "
             f"|{exact:.12g} - {predicted:.12g}| = {gap:.3g} at n = {n_mean}"
         )
-    n_var = min(_ORACLE_VARIANCE_STEPS, MAX_ENUM_STEPS)
+    n_var = _ORACLE_VARIANCE_STEPS
     try:
         gap = exact_conditional_variance_check(spec, klass, n_var)
         passed = gap <= _ORACLE_TOL
@@ -598,6 +623,7 @@ def _dispatch(args) -> int:
     if args.command == "all":
         oracle_lines, oracle_ok = _run_oracle_checks(spec, klass, rows)
 
+    _load("verify")
     try:
         report = run_ensemble(
             spec,

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,6 +88,8 @@ UNIFORM_BLOCK_BYTES = 4 * 10**6
 PASS_STREAMS = 2048
 # Stream ids must fit EnsemblePaths.streams, an int64 array.
 STREAM_LIMIT = 2**63
+# Default resource cap on horizon * ensemble for one Monte Carlo run.
+DEFAULT_MAX_DRAWS = 4_000_000_000
 # numpy.random.SeedSequence's hash constants and default pool size
 # (numpy/random/bit_generator.pyx); _stream_keys reproduces its mixing.
 _POOL_SIZE = 4
@@ -236,6 +239,17 @@ def _checked_seed(seed) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _checked_scale(value) -> float:
+    # A bool is an int, JSON's NaN and Infinity parse as floats, and the upper
+    # bound also rejects integers too large for a float.
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):
+        raise ValueError(
+            f"variance_scale: must be a positive finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def _checked_stream(stream, what: str = "stream") -> int:

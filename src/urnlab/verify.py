@@ -18,13 +18,18 @@ as a negative control.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplacementSpec, _integer, _validated_checkpoints, simulate_many
+from .core import (
+    DEFAULT_MAX_DRAWS,
+    ReplacementSpec,
+    _checked_scale,
+    _integer,
+    _validated_checkpoints,
+    simulate_many,
+)
 from .laws import LawPrediction, LimitKind, pi_n
 
 __all__ = [
@@ -43,7 +48,6 @@ __all__ = [
     "evaluate_report",
 ]
 
-DEFAULT_MAX_DRAWS = 4_000_000_000
 MIN_HORIZON = 1_000
 MIN_ENSEMBLE = 100
 # Trajectories whose mixing estimate falls below this are dropped from
@@ -102,17 +106,6 @@ def ks_standard_normal(sample) -> tuple[float, float]:
         if abs(term) < 1e-12:
             break
     return d, float(min(1.0, max(0.0, total)))
-
-
-def _checked_scale(value) -> float:
-    # A bool is an int, JSON's NaN and Infinity parse as floats, and the upper
-    # bound also rejects integers too large for a float.
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value <= sys.float_info.max):
-        raise ValueError(
-            f"variance_scale: must be a positive finite number, got {value!r}"
-        )
-    return float(value)
 
 
 def studentize(

@@ -103,3 +103,75 @@ def test_package_exports_are_pinned():
 ])
 def test_entry_point_parameters_are_pinned(name, parameters):
     assert list(inspect.signature(getattr(urnlab, name)).parameters) == parameters
+
+
+# What each CLI command leaves loaded: CLI_BASE plus the layers it runs.
+# classify and predict need no oracle and no verify, so they never compile them.
+CLI_CONFIG = SRC.parent / "configs" / "two_color.json"
+CLI_BASE = {"urnlab.core", "urnlab.spectral", "urnlab.laws", "urnlab.cli"}
+CLI_LOADS = {
+    "classify": set(),
+    "predict": set(),
+    "oracle-check": {"urnlab.oracle"},
+    "simulate": {"urnlab.verify"},
+    "verify": {"urnlab.verify"},
+    "all": {"urnlab.oracle", "urnlab.verify"},
+}
+
+
+def _cli_args(command, out):
+    return [command, "--config", str(CLI_CONFIG), "--horizon", "1000",
+            "--ensemble", "100", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", list(CLI_LOADS))
+def test_each_command_loads_only_the_layers_it_runs(command, tmp_path):
+    loaded = fresh_process(
+        "from urnlab.cli import main\n"
+        f"assert main({_cli_args(command, tmp_path)!r}) in (0, 1)"
+    )
+    assert set(loaded["urnlab"]) == CLI_BASE | CLI_LOADS[command]
+
+
+# The names cli binds on first use, with their home layers.
+CLI_NAMES_ON_USE = {
+    "compensated_martingale_check": "oracle",
+    "exact_conditional_variance_check": "oracle",
+    "exact_mean_linear": "oracle",
+    "evaluate_report": "verify",
+    "run_ensemble": "verify",
+}
+
+
+def test_cli_names_bound_on_use_are_their_home_module_objects():
+    from urnlab import cli
+
+    assert {n: layer for layer, names in cli._LAZY.items() for n in names} == CLI_NAMES_ON_USE
+    for name, layer in CLI_NAMES_ON_USE.items():
+        home = importlib.import_module(f"urnlab.{layer}")
+        assert getattr(cli, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="'urnlab.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "run_ensemble"),
+    ("oracle-check", "exact_mean_linear"),
+])
+def test_cli_calls_a_wrapper_set_before_the_command_runs(command, name, monkeypatch, tmp_path):
+    # perfbench's tracer wraps cli's names before main runs; loading the
+    # layer must not put the plain function back.  The name is unbound
+    # first, as in a fresh process, so getattr binds it through __getattr__.
+    from urnlab import cli
+
+    monkeypatch.delitem(vars(cli), name, raising=False)
+    real = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main(_cli_args(command, tmp_path)) == 0
+    assert calls
