@@ -292,6 +292,11 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
+def _repr_cells(values: np.ndarray) -> np.ndarray:
+    """repr(float(x)) for every x of a 1-d float64 array, as an object array."""
+    return np.array(list(map(repr, values.tolist())), dtype=object)
+
+
 def _float_cells(values) -> np.ndarray:
     """repr(float(x)) for every x of a float64 array, as an object array of
     the same shape.
@@ -302,14 +307,13 @@ def _float_cells(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    strings = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
-    return strings[inverse.reshape(values.shape)]
+    return _repr_cells(patterns.view(np.float64))[inverse.reshape(values.shape)]
 
 
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     """One CSV per prediction row: a line per (trajectory, checkpoint).
 
-    Float cells hold repr of the Python float, formatted by _float_cells;
+    Float cells hold repr of the Python float;
     normalized_value is empty where the normalization is not finite, and
     z_value (empty when not finite) and U_hat are filled on the terminal
     checkpoint line only.  Cells and lines are built by _sample_chunks, at
@@ -354,9 +358,9 @@ def _sample_chunks(report: EnsembleReport, outcome):
             index[:, j] = inverse + offset
             offset += patterns.size
             distinct = patterns.view(np.float64)
-            raw_strings.append(_float_cells(distinct))
+            raw_strings.append(_repr_cells(distinct))
             norm_strings.append(
-                _float_cells(distinct / scale) if np.isfinite(scale)
+                _repr_cells(distinct / scale) if np.isfinite(scale)
                 else np.full(patterns.size, "", dtype=object)
             )
     raw_strings, norm_strings = np.concatenate(raw_strings), np.concatenate(norm_strings)

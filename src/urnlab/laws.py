@@ -90,6 +90,11 @@ class LimitKind(Enum):
     EXACTLY_CONSTANT_TRACK = "exactly-constant-track"
 
 
+_NORMALIZATION_KINDS = (
+    "mass", "power", "sqrt_n_log_n", "power_sqrt_log", "power_log", "exact_product",
+)
+
+
 @dataclass(frozen=True)
 class Normalization:
     """A normalizing sequence; at(n) evaluates it, str() names it.
@@ -102,6 +107,13 @@ class Normalization:
 
     kind: str
     exponent: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _NORMALIZATION_KINDS:
+            raise ValueError(
+                f"unknown normalization kind {self.kind!r}; "
+                f"known kinds: {', '.join(_NORMALIZATION_KINDS)}"
+            )
 
     @classmethod
     def mass(cls) -> "Normalization":
@@ -144,7 +156,7 @@ class Normalization:
             elif self.kind == "power_log":
                 safe = np.where(x >= 2.0, x, np.nan)
                 out = safe**self.exponent * np.log(safe)
-            elif self.kind == "exact_product":
+            else:  # "exact_product"
                 flat = np.array(
                     [
                         pi_n(self.exponent, int(v)) if v >= 0 else np.nan
@@ -152,8 +164,6 @@ class Normalization:
                     ]
                 )
                 out = flat.reshape(np.shape(x))
-            else:
-                raise ValueError(f"unknown normalization kind {self.kind!r}")
         if np.isscalar(n) or np.ndim(n) == 0:
             return float(out)
         return out

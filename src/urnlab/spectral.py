@@ -6,21 +6,21 @@ Classification fills in the data the scaling laws need: block scale and
 eigenvalues, normalized eigenvectors, stationary distributions of the 2x2
 blocks, and a Jordan basis when the matrix is not diagonalizable.
 
-All 2x2 spectra are in closed form: for a stochastic block
-[[1-a, a], [b, 1-b]] the non-principal eigenvalue is 1-a-b, its right
-eigenvector is proportional to (a, -b), and the stationary distribution is
-(b, a)/(a+b).  No general eigensolver is involved.
+All 2x2 spectra are in closed form, taken in one place, _chain: for a
+stochastic block [[1-a, a], [b, 1-b]] the non-principal eigenvalue is 1-a-b,
+its right eigenvector is proportional to (a, -b), and the stationary
+distribution is (b, a)/(a+b).  No general eigensolver is involved.
 
 One tolerance, REPEAT_TOL, governs both what classify admits and what it
 verifies.  Structure is admitted with REPEAT_TOL of slack: sub-block row
 masses, eigenvalue coincidences and open-interval margins.  A four-color
 Jordan column's residual is the eigenvalue gap plus the sub-block masses'
 distance from their mean, so a repeat there spends both from one
-REPEAT_TOL.  Each 2x2 block is divided by its own row sums before its closed
-form is taken, so the closed forms never see row-sum slack.  Every stored
-eigenpair (v, a) is then checked relative to its size,
-|Rv - av|_inf / |v|_inf <= REPEAT_TOL, and a Jordan identity RT = TJ column
-by column the same way.  A check that fails after admission is a fault in
+REPEAT_TOL.  Each 2x2 block, the whole two-color matrix included, is divided
+by its own row sums before its closed form is taken, so the closed forms
+never see row-sum slack.  Every stored eigenpair (v, a) is then checked
+relative to its size, |Rv - av|_inf / |v|_inf <= REPEAT_TOL, and a Jordan
+identity RT = TJ column by column the same way.  A check that fails after admission is a fault in
 this module, not a property of the input.
 """
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "Family",
     "StructureClass",
     "normalize_eigvec",
-    "eigenpair_2x2",
-    "stationary_2x2",
     "classify",
 ]
 
@@ -141,46 +139,6 @@ def normalize_eigvec(v) -> np.ndarray:
     return out
 
 
-def _offdiag(m: np.ndarray) -> tuple[float, float]:
-    return float(m[0, 1]), float(m[1, 0])
-
-
-def eigenpair_2x2(m) -> tuple[float, np.ndarray]:
-    """Non-principal eigenpair of a 2x2 stochastic matrix, closed form.
-
-    The eigenvalue is trace - 1; the eigenvector is normalize((a, -b)) for
-    off-diagonals a, b.  The identity matrix has no non-principal pair.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.abs(m.sum(axis=1) - 1.0).max() > REPEAT_TOL:
-        raise ValueError("matrix rows must sum to 1")
-    a, b = _offdiag(m)
-    if a <= ZERO_TOL and b <= ZERO_TOL:
-        raise ValueError("identity matrix has no non-principal eigenpair")
-    lam = float(m[0, 0] + m[1, 1] - 1.0)
-    return lam, normalize_eigvec(np.array([a, -b]))
-
-
-def stationary_2x2(m) -> np.ndarray:
-    """Stationary distribution (b, a)/(a+b) of an irreducible 2x2 chain.
-
-    A chain that alternates deterministically (non-principal eigenvalue -1)
-    still gets its stationary vector, but there time averages, not laws,
-    converge to it.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    a, b = _offdiag(m)
-    if a <= ZERO_TOL and b <= ZERO_TOL:
-        raise ValueError("identity matrix has no unique stationary distribution")
-    if a <= ZERO_TOL or b <= ZERO_TOL:
-        raise ValueError("matrix is reducible; stationary distribution is degenerate")
-    return np.array([b, a]) / (a + b)
-
-
 def _permute(matrix: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
     idx = np.array(perm)
     return matrix[np.ix_(idx, idx)]
@@ -247,16 +205,26 @@ def _minor_scale(rp: np.ndarray) -> float:
     return s
 
 
-def _require_irreducible(block: np.ndarray) -> None:
-    if block[0, 1] <= ZERO_TOL or block[1, 0] <= ZERO_TOL:
+def _chain(block: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(P, lam, xi, pi) for an irreducible 2x2 block: P = [[1-a, a],
+    [b, 1-b]] is the block with each row divided by its own sum, lam =
+    trace(P) - 1 its non-principal eigenvalue, xi = normalize_eigvec((a, -b))
+    that eigenvalue's right eigenvector and pi = (b, a)/(a+b) its stationary
+    distribution.  A periodic P (lam = -1) still gets pi, but there time
+    averages, not laws, converge to it.  Raises _NoMatch unless a and b both
+    exceed ZERO_TOL."""
+    p = block / block.sum(axis=1, keepdims=True)
+    a, b = float(p[0, 1]), float(p[1, 0])
+    if a <= ZERO_TOL or b <= ZERO_TOL:
         raise _NoMatch()
+    lam = float(p[0, 0] + p[1, 1] - 1.0)
+    return p, lam, normalize_eigvec(np.array([a, -b])), np.array([b, a]) / (a + b)
 
 
-def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(s, Q, lam) for the leading 2x2 block: its row masses s0 and s1,
-    equal within REPEAT_TOL, their mean s, Q = the block with each row divided
-    by its own mass, and Q's non-principal eigenvalue.  Q must be irreducible
-    and aperiodic."""
+def _sub_block(rp: np.ndarray) -> tuple[float, tuple]:
+    """(s, _chain of the leading 2x2 block): the block's row masses s0 and
+    s1 must be equal within REPEAT_TOL, s is their mean, and the block's
+    chain must be aperiodic."""
     s0 = float(rp[0, :2].sum())
     s1 = float(rp[1, :2].sum())
     if abs(s0 - s1) > REPEAT_TOL:
@@ -267,31 +235,26 @@ def _sub_block(rp: np.ndarray) -> tuple[float, np.ndarray, float]:
             "block-triangular shape found but the non-dominant block's row "
             "mass is 0 or 1; scaled limits need it strictly inside (0, 1)"
         )
-    q = rp[:2, :2] / np.array([[s0], [s1]])
-    _require_irreducible(q)
-    lam = float(q[0, 0] + q[1, 1] - 1.0)
-    if lam <= -1.0 + REPEAT_TOL:
+    chain = _chain(rp[:2, :2])
+    if chain[1] <= -1.0 + REPEAT_TOL:
         raise _NoMatch(
             "non-dominant block alternates deterministically "
             "(non-principal eigenvalue -1); its embedded chain has no limit law"
         )
-    return s, q, lam
+    return s, chain
 
 
-def _dominant_block(block: np.ndarray) -> tuple[np.ndarray, float, list[str]]:
-    """(P, lam, warnings) for an irreducible dominant 2x2 block: P is the
-    block with each row divided by its own sum, lam P's non-principal
-    eigenvalue.  A periodic block is accepted with a warning."""
-    p = block / block.sum(axis=1, keepdims=True)
-    _require_irreducible(p)
-    lam = float(p[0, 0] + p[1, 1] - 1.0)
+def _dominant_block(block: np.ndarray) -> tuple[tuple, list[str]]:
+    """(_chain of the dominant 2x2 block, warnings): a periodic block is
+    accepted with a warning."""
+    chain = _chain(block)
     warnings: list[str] = []
-    if lam <= -1.0 + REPEAT_TOL:
+    if chain[1] <= -1.0 + REPEAT_TOL:
         warnings.append(
             "dominant block alternates deterministically; predictions built "
             "from its stationary distribution are unverified"
         )
-    return p, lam, warnings
+    return chain, warnings
 
 
 def _require_minor_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
@@ -312,21 +275,18 @@ def _require_sub_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
 
 
 def _match_two_irreducible(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    _require_irreducible(rp)
-    lam = float(rp[0, 0] + rp[1, 1] - 1.0)
+    _, lam, xi, pi = _chain(_permute(spec.matrix, perm))
     if lam <= -1.0 + REPEAT_TOL:
         raise _NoMatch(
             "the two colors alternate deterministically "
             "(non-principal eigenvalue -1); scaled limit laws do not apply"
         )
-    _, xi = eigenpair_2x2(rp)
     return StructureClass(
         family=Family.TWO_IRREDUCIBLE,
         spec=spec,
         permutation=perm,
         lam=lam,
-        stationary_whole=stationary_2x2(rp),
+        stationary_whole=pi,
         eigvec_lam=xi,
         vectors=(
             ("mass", np.ones(2), 1.0),
@@ -357,16 +317,15 @@ def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
     rp = _permute(spec.matrix, perm)
     if rp[2, 0] > ZERO_TOL or rp[2, 1] > ZERO_TOL:
         raise _NoMatch()
-    s, q, lam = _sub_block(rp)
+    s, (_, lam, xi, pi_q) = _sub_block(rp)
     _require_sub_mass(spec, perm)
-    _, xi = eigenpair_2x2(q)
     return StructureClass(
         family=Family.THREE_ONE_DOMINANT,
         spec=spec,
         permutation=perm,
         scale=s,
         lam=lam,
-        stationary_sub=stationary_2x2(q),
+        stationary_sub=pi_q,
         eigvec_lam=xi,
         vectors=(
             ("mass", np.ones(3), 1.0),
@@ -381,10 +340,8 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
     if rp[1, 0] > ZERO_TOL or rp[2, 0] > ZERO_TOL:
         raise _NoMatch()
     s = _minor_scale(rp)
-    p_block, lam, warnings = _dominant_block(rp[1:, 1:])
+    (_, lam, xi, pi_p), warnings = _dominant_block(rp[1:, 1:])
     _require_minor_mass(spec, perm)
-    _, xi = eigenpair_2x2(p_block)
-    pi_p = stationary_2x2(p_block)
     coupling = rp[0, 1:] / (1.0 - s)
     minor = _to_original([1.0, 0.0, 0.0], perm, 3)
     common = dict(
@@ -440,13 +397,9 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
     rp = _permute(spec.matrix, perm)
     if float(np.abs(rp[2:, :2]).max()) > ZERO_TOL:
         raise _NoMatch()
-    s, q, lam = _sub_block(rp)
-    p_block, beta, warnings = _dominant_block(rp[2:, 2:])
+    s, (q, lam, xi, pi_q) = _sub_block(rp)
+    (_, beta, nu_hat, pi_p), warnings = _dominant_block(rp[2:, 2:])
     _require_sub_mass(spec, perm)
-    _, xi = eigenpair_2x2(q)
-    pi_q = stationary_2x2(q)
-    _, nu_hat = eigenpair_2x2(p_block)
-    pi_p = stationary_2x2(p_block)
     v1 = _to_original([1.0, 1.0, 0.0, 0.0], perm, 4)
     v2 = _to_original([xi[0], xi[1], 0.0, 0.0], perm, 4)
     # Resolve the coupling image of the dominant eigenvector in the basis

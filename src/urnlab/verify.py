@@ -240,6 +240,9 @@ def run_ensemble(
         raise ValueError(f"horizon must be at least {MIN_HORIZON}, got {horizon}")
     if ensemble < MIN_ENSEMBLE:
         raise ValueError(f"ensemble must be at least {MIN_ENSEMBLE}, got {ensemble}")
+    max_draws = _integer(max_draws, "max_draws")
+    if max_draws < 1:
+        raise ValueError(f"max_draws must be at least 1, got {max_draws}")
     if horizon * ensemble > max_draws:
         raise ValueError(
             f"resource cap: horizon * ensemble = {horizon * ensemble} exceeds "

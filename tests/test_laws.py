@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_normalization_values_and_labels():
     # undefined points come back as nan, vectorized
     vals = Normalization.power_log(0.5).at(np.array([0, 1, 4]))
     assert np.isnan(vals[:2]).all() and np.isfinite(vals[2])
+
+
+def test_unknown_normalization_kind_is_refused_when_built():
+    kinds = ["mass", "power", "sqrt_n_log_n", "power_sqrt_log", "power_log",
+             "exact_product"]
+    with pytest.raises(ValueError, match=re.escape(
+        "unknown normalization kind 'bogus'; known kinds: " + ", ".join(kinds)
+    )):
+        Normalization("bogus")
+    for kind in kinds:
+        norm = Normalization(kind, 0.5)
+        assert str(norm) and np.isfinite(norm.at(10))
 
 
 def test_two_color_prediction_frozen():

@@ -13,7 +13,7 @@ from test_laws import BRANCHES
 
 from urnlab import Family, classify, new_spec, predict, spectral
 from urnlab.cli import _run_oracle_checks
-from urnlab.spectral import eigenpair_2x2, normalize_eigvec, stationary_2x2
+from urnlab.spectral import _chain, _NoMatch, normalize_eigvec
 
 TWO = [[0.7, 0.3], [0.4, 0.6]]
 TRI = [[0.5, 0.5], [0.0, 1.0]]
@@ -47,7 +47,7 @@ def test_normalize_eigvec_frozen_cases():
 
 
 def test_eigenpair_2x2_frozen():
-    lam, xi = eigenpair_2x2(np.array(TWO))
+    _, lam, xi, _ = _chain(np.array(TWO))
     assert lam == pytest.approx(0.3)
     assert xi.tolist() == pytest.approx([0.75, -1.0])
     # the pair really is an eigenpair of the row action
@@ -55,17 +55,17 @@ def test_eigenpair_2x2_frozen():
 
 
 def test_eigenpair_2x2_rejects_identity():
-    with pytest.raises(ValueError):
-        eigenpair_2x2(np.eye(2))
+    with pytest.raises(_NoMatch):
+        _chain(np.eye(2))
 
 
 def test_stationary_2x2_frozen():
-    pi = stationary_2x2(np.array(TWO))
+    pi = _chain(np.array(TWO))[3]
     assert pi.tolist() == pytest.approx([4 / 7, 3 / 7])
-    pi2 = stationary_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pi2 = _chain(np.array([[0.0, 1.0], [1.0, 0.0]]))[3]
     assert pi2.tolist() == pytest.approx([0.5, 0.5])
-    with pytest.raises(ValueError):
-        stationary_2x2(np.array(TRI))
+    with pytest.raises(_NoMatch):
+        _chain(np.array(TRI))
 
 
 @given(
@@ -74,9 +74,23 @@ def test_stationary_2x2_frozen():
 )
 def test_eigenpair_2x2_closed_form(a, b):
     m = np.array([[1.0 - a, a], [b, 1.0 - b]])
-    lam, xi = eigenpair_2x2(m)
+    _, lam, xi, pi = _chain(m)
     assert lam == pytest.approx(1.0 - a - b, abs=1e-12)
     np.testing.assert_allclose(m @ xi, lam * xi, atol=1e-12)
+    np.testing.assert_allclose(pi @ m, pi, atol=1e-12)
+
+
+def test_two_color_row_slack_takes_the_row_normalized_closed_form():
+    # new_spec keeps rows that miss 1 by at most ROW_SUM_TOL as they are;
+    # classify still divides the matrix by its own row sums first.
+    spec = new_spec([[0.7, 0.3 + 4e-13], [0.4, 0.6]], uniform(2))
+    p = spec.matrix / spec.matrix.sum(axis=1, keepdims=True)
+    a, b = float(p[0, 1]), float(p[1, 0])
+    klass = classify(spec)
+    assert klass.family is Family.TWO_IRREDUCIBLE
+    assert klass.lam == float(p[0, 0] + p[1, 1] - 1.0)
+    assert klass.eigvec_lam.tobytes() == normalize_eigvec([a, -b]).tobytes()
+    assert klass.stationary_whole.tobytes() == (np.array([b, a]) / (a + b)).tobytes()
 
 
 def test_classify_identity():

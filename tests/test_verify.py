@@ -371,6 +371,25 @@ def test_bad_variance_scale_is_refused_before_any_draw(monkeypatch, scale):
         studentize(np.array([0.4, -0.4]), fluct, variance_scale=scale)
 
 
+@pytest.mark.parametrize("cap, message", [
+    (np.nan, "max_draws is not an integer"),
+    (np.inf, "max_draws is not an integer"),
+    (True, "max_draws is not an integer"),
+    ("4e9", "max_draws is not an integer"),
+    (10**6 + 0.5, "max_draws is not an integer"),
+    (0, "max_draws must be at least 1"),
+    (-1, "max_draws must be at least 1"),
+])
+def test_bad_max_draws_is_refused_before_any_draw(monkeypatch, cap, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate_many was called")
+
+    monkeypatch.setattr(verify, "simulate_many", no_draws)
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(TWO, predict(classify(TWO)), horizon=1000, ensemble=100,
+                     max_draws=cap)
+
+
 def test_ks_refuses_nan_and_accepts_infinities():
     sample = np.linspace(-2.0, 2.0, 100)
     sample[[7, 30, 31]] = np.nan
