@@ -34,10 +34,12 @@ matches np.cumsum(counts); the drawn colours become a one-hot (K, M)
 matrix, and one matrix product with the transposed replacement matrix
 yields the drawn rows.  Eight numpy calls a step at K=4, six at K=2.  The
 exact step serves dyadic models, whose entries are multiples of some 2**-p
-(two of the three shipped configs): while every sum stays below
-2**53 * 2**-p no add rounds, so it carries cum itself, total row included,
-as a (K, M) array, and adds row c of cumsum(R) to it in four calls a step.
-Both give the same bits.
+and whose rows add the same exact mass (two of the three shipped configs):
+while every sum stays below 2**53 * 2**-p no add rounds, so it carries
+cum[0..K-2] itself as a (K-1, M) array and the total, the same double in
+every trajectory, as one float.  It compares only the prefix sums where
+the replacement row changes and adds row c of cumsum(R) in four calls a
+step.  Both give the same bits.
 
 An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
 the whole horizon.  The first pass builds its W generators and every later
@@ -399,18 +401,27 @@ def _rekey(gens: list, keys: np.ndarray, fresh: dict) -> None:
 
 
 def _exact_prefix_sums(spec: ReplacementSpec, horizon: int) -> bool:
-    """Whether every prefix sum of a run to horizon is exact in float64.
+    """Whether the exact step may run: every prefix sum of a run to horizon
+    is exact in float64, and every row adds the same exact mass.
 
     True when the entries of spec.matrix and spec.initial are non-negative
-    integer multiples of some 2**-p, and K * 2**p * max(mass, 2 * rows) <
+    integer multiples of some 2**-p, K * 2**p * max(mass, 2 * rows) <
     2**53, with rows the largest row sum and mass = sum(initial) + horizon
-    * rows the largest total a run reaches; for a new_spec model that is
-    (horizon + 1) * 2**p * K < 2**53.  Every count, prefix sum and partial
-    sum the exact step forms is then a multiple of 2**-p below 2**53 * 2**-p,
-    so it is a double and no add rounds.
+    * rows the largest total a run reaches (for a new_spec model that is
+    (horizon + 1) * 2**p * K < 2**53), and every row of cumsum(R, axis=1)
+    ends in the same double.  Every count, prefix sum and partial sum the
+    exact step forms is then a multiple of 2**-p below 2**53 * 2**-p, so it
+    is a double and no add rounds; and the total after n steps is the same
+    double in every trajectory, which the exact step carries as one float.
+    Dyadic rows whose exact sums differ, which new_spec keeps when they
+    miss 1 by at most ROW_SUM_TOL, take the general step, which gives the
+    same bits.
     """
     values = np.concatenate([spec.matrix.ravel(), spec.initial])
     if not values.min() >= 0.0:
+        return False
+    ends = np.cumsum(spec.matrix, axis=1)[:, -1]
+    if not np.all(ends == ends[0]):
         return False
     rows = float(spec.matrix.sum(axis=1).max())
     bound = spec.colors * max(float(spec.initial.sum()) + horizon * rows, 2 * rows)
@@ -443,9 +454,9 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
     the uniforms block, and its checkpoints go to row i of states, this
     pass's rows of the ensemble's.  Each checkpoint is checked against the
     mass law, and the largest drift is returned.  exact selects the exact
-    step, which carries the prefix sums in place of the counts; the general
-    step holds the counts and the prefix sums in one array (see
-    simulate_many).
+    step, which carries cum[0..K-2] in place of the counts and the total as
+    one float; the general step holds the counts and the prefix sums in one
+    array (see simulate_many).
     """
     k, m = spec.colors, len(gens)
     worst = np.float64(0.0)
@@ -460,6 +471,8 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
         at_n = states[:, cp_index[n], :]
         if exact:
             # Differences of exact prefix sums, so the counts are exact.
+            cum[order] = cum_head
+            cum[k - 1] = total
             at_n[:, 0] = cum[0]
             np.subtract(cum[1:], cum[:-1], out=at_n[:, 1:].T)
         else:
@@ -474,17 +487,35 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
         worst = np.maximum(worst, drift)
 
     scaled = np.empty(m)
-    drawn = np.empty((k, m))
     if exact:
-        cum = np.cumsum(np.repeat(spec.initial[:, None], m, axis=1), axis=0)
-        # e[j] = (cum[j-1] <= scaled) for j = 1..K-1 under e[0] = 1: ones up
-        # to the drawn colour c.  Column j of d_rows is row j of cumsum(R)
-        # less row j-1, so d_rows @ e telescopes to row c of cumsum(R).
-        e = np.ones((k, m))
+        sums = np.cumsum(spec.matrix, axis=1)
+        # Every row adds the same exact mass, so at step n every column's
+        # total is the same double, cum[K-1] = S_0 + n * step_mass.
+        step_mass = float(sums[0, k - 1])
+        start = np.cumsum(spec.initial)
+        total = float(start[k - 1])
+        # Colours j >= 1 whose row differs from row j-1: a draw's row changes
+        # only where c crosses one of them, so only cum[j-1] for these j is
+        # compared.  cum_head is cum[0..K-2] with those rows first.
+        starts = [
+            j for j in range(1, k)
+            if not np.array_equal(spec.matrix[j], spec.matrix[j - 1])
+        ]
+        order = [j - 1 for j in starts]
+        order += [i for i in range(k - 1) if i not in order]
+        cum_head = np.repeat(start[order, None], m, axis=1)
+        compared = cum_head[: len(starts)]
+        cum = np.empty((k, m))
+        # e[i] = (cum[starts[i-1] - 1] <= scaled) under e[0] = 1.  Row j of
+        # diffs is row j of cumsum(R) less row j-1, zero for every colour
+        # whose row equals the one before; d_rows keeps the other columns
+        # of diffs.T and its rows in cum_head's order, so d_rows @ e
+        # telescopes to row c of cumsum(R), less its last entry.
+        e = np.ones((1 + len(starts), m))
         e_head = e[1:]
-        d_rows = np.ascontiguousarray(
-            np.diff(np.cumsum(spec.matrix, axis=1), axis=0, prepend=0.0).T
-        )
+        diffs = np.diff(sums, axis=0, prepend=0.0)
+        d_rows = np.ascontiguousarray(diffs[[0, *starts]][:, order].T)
+        drawn = np.empty((k - 1, m))
     else:
         # Rows: the counts of colours 1..K-1, colour 0's, then cum[1..K-1].
         # So rows K-1.. are cum, cum[0] being colour 0's count, and no copy
@@ -501,29 +532,33 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
         ext[0] = True
         ext[k] = False
         one_hot = np.empty((k, m))
+        drawn = np.empty((k, m))
         # Views the step loop uses, built once: cum[j] = cum[j-1] + colour j.
         prefix_adds = [(cum[j - 1], counts[j - 1], cum[j]) for j in range(1, k)]
         ext_head, ext_upper, ext_lower = ext[1:k], ext[:-1], ext[1:]
-    cum_head, cum_total = cum[: k - 1], cum[k - 1]
+        cum_head, cum_total = cum[: k - 1], cum[k - 1]
+    # The block's columns, one view a step, built once for the pass.
+    columns = list(u.T)
     if 0 in cp_index:
         record(0)
     n = 0
     while n < horizon:
         # Every stream refills its row of the block; each step reads a column.
-        ub = u[:, : min(u.shape[1], horizon - n)]
-        for g, row in zip(gens, ub):
+        block = columns[: horizon - n]
+        for g, row in zip(gens, u[:, : len(block)]):
             g.random(out=row)
         if exact:
-            for column in ub.T:
-                multiply(column, cum_total, scaled)
-                less_equal(cum_head, scaled, e_head)
+            for column in block:
+                multiply(column, total, scaled)
+                less_equal(compared, scaled, e_head)
                 matmul(d_rows, e, drawn)
-                add(cum, drawn, cum)
+                add(cum_head, drawn, cum_head)
+                total += step_mass
                 n += 1
                 if n in cp_index:
                     record(n)
         else:
-            for column in ub.T:
+            for column in block:
                 for prev, row, out in prefix_adds:
                     add(prev, row, out)
                 multiply(column, cum_total, scaled)
@@ -585,30 +620,41 @@ def simulate_many(
       +0.0), and new_spec stores no -0.0.
 
     The exact step runs when every entry of R and C_0 is a non-negative
-    multiple of 2**-p and (horizon + 1) * 2**p * K < 2**53 (for a new_spec
-    model; _exact_prefix_sums gives the general bound).  It holds cum
-    itself as (K, M), total row cum[K-1] included, and a step is four
-    calls:
+    multiple of 2**-p, (horizon + 1) * 2**p * K < 2**53 (for a new_spec
+    model; _exact_prefix_sums gives the general bound) and every row of
+    cumsum(R, axis=1) ends in the same double r.  The total after n steps is
+    then S_0 + n * r in every trajectory, one float advanced by total += r
+    each step.  The step holds cum[0..K-2] as (K-1, M), its rows in an
+    order fixed once per pass, and is four calls:
 
-    - scaled = u * cum[K-1], the same product of the same values as the
-      general step's;
-    - cum[:K-1] <= scaled into rows 1..K-1 of a float mask e whose row 0 is
-      1.0, so column m reads 1 at rows 0..c and 0 below, c the drawn colour;
-    - add = D @ e, with D = diff(cumsum(R, axis=1), axis=0, prepend=0).T:
-      column j of D is row j of cumsum(R) less row j-1, so the sum
-      telescopes to row c of cumsum(R);
-    - cum += add.
+    - scaled = u * total, the same product of the same values as the
+      general step's u * cum[K-1];
+    - the compared rows, cum[j-1] for each boundary j >= 1 with R[j] !=
+      R[j-1], held first and contiguous, <= scaled into rows 1.. of a float
+      mask e whose row 0 is 1.0, so column m reads 1 for each boundary at
+      or below c, the drawn colour;
+    - add = D @ e, with D the nonzero columns of diff(cumsum(R, axis=1),
+      axis=0, prepend=0).T (column 0 and the boundaries), less its total
+      row: column j of the full matrix is row j of cumsum(R) less row j-1,
+      zero when R[j] == R[j-1], so the sum telescopes to row c of
+      cumsum(R);
+    - cum[0..K-2] += add.
 
-    Every count, every prefix sum and every partial sum of D @ e is then a
-    multiple of 2**-p below 2**53 * 2**-p, which a double holds exactly:
-    no add rounds, in any BLAS order, with or without fused multiply-add.
-    No -0.0 arises: exact sums that cancel give +0.0, a sum is -0.0 only
-    if all its terms are, and the term cumsum(R)[0, j] * 1 never is.
-    So cum equals the np.cumsum of the general step's counts, bit for bit,
-    the comparison sees the same operands, and the same colour is drawn.
-    At checkpoints the counts are cum[0] and the differences of adjacent
-    rows of cum, exact too, so states, tracks and max_mass_drift are those
-    of the general step, and the mass-law check reads the same sums.
+    Only boundaries matter: cum never decreases, so cum[j-1] <= scaled iff
+    c >= j, and colours in one run of equal rows add the same row.  A
+    dropped column of D is zero, and its term in the full product would
+    add only +0.0.  Every count, every prefix sum and every partial sum of
+    D @ e is a multiple of 2**-p below 2**53 * 2**-p, which a double holds
+    exactly: no add rounds, in any BLAS order, with or without fused
+    multiply-add.  No -0.0 arises: exact sums that cancel give +0.0, a sum
+    is -0.0 only if all its terms are, and the term cumsum(R)[0, j] * 1
+    never is.  So cum equals the np.cumsum of the general step's counts,
+    bit for bit, the comparison sees the same operands, and the same colour
+    is drawn, or one with the same row.  At checkpoints the full cum is
+    rebuilt in colour order, total as its last row, and the counts are
+    cum[0] and the differences of adjacent rows, exact too, so states,
+    tracks and max_mass_drift are those of the general step, and the
+    mass-law check reads the same sums.
 
     The M streams run in the fewest passes of at most PASS_STREAMS, all W
     wide but the last.  The first pass builds its W generators through

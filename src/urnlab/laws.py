@@ -23,6 +23,7 @@ martingale normalization; pi_n(a) * Gamma(a+1) / n^a -> 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,9 +91,16 @@ class LimitKind(Enum):
     EXACTLY_CONSTANT_TRACK = "exactly-constant-track"
 
 
-_NORMALIZATION_KINDS = (
-    "mass", "power", "sqrt_n_log_n", "power_sqrt_log", "power_log", "exact_product",
-)
+# Each kind's name as str() prints it, with {a:g} for the exponent.
+_NORMALIZATION_NAMES = {
+    "mass": "n+1",
+    "power": "n^{a:g}",
+    "sqrt_n_log_n": "sqrt(n log n)",
+    "power_sqrt_log": "sqrt(n^{a:g} log n)",
+    "power_log": "n^{a:g} log n",
+    "exact_product": "Pi_n({a:g})",
+}
+_EXPONENT_KINDS = ("power", "power_sqrt_log", "power_log", "exact_product")
 
 
 @dataclass(frozen=True)
@@ -102,17 +110,30 @@ class Normalization:
     Kinds: "mass" (n+1), "power" (n^a), "sqrt_n_log_n", "power_sqrt_log"
     (sqrt(n^a log n)), "power_log" (n^a log n), "exact_product" (pi_n(a)).
     at() returns NaN where the sequence is zero or undefined (n = 0 for
-    powers, n < 2 whenever a log factor is involved).
+    powers, n < 2 whenever a log factor is involved).  The four kinds with
+    an exponent a refuse, when built, one that is missing or not a finite
+    real.
     """
 
     kind: str
     exponent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _NORMALIZATION_KINDS:
+        if self.kind not in _NORMALIZATION_NAMES:
             raise ValueError(
                 f"unknown normalization kind {self.kind!r}; "
-                f"known kinds: {', '.join(_NORMALIZATION_KINDS)}"
+                f"known kinds: {', '.join(_NORMALIZATION_NAMES)}"
+            )
+        a = self.exponent
+        finite = (
+            isinstance(a, numbers.Real)
+            and not isinstance(a, bool)
+            and math.isfinite(a)
+        )
+        if self.kind in _EXPONENT_KINDS and not finite:
+            raise ValueError(
+                f"normalization kind {self.kind!r} needs a finite exponent, "
+                f"got {a!r}"
             )
 
     @classmethod
@@ -169,15 +190,7 @@ class Normalization:
         return out
 
     def __str__(self) -> str:
-        a = self.exponent
-        return {
-            "mass": "n+1",
-            "power": f"n^{a:g}" if a is not None else "n^?",
-            "sqrt_n_log_n": "sqrt(n log n)",
-            "power_sqrt_log": f"sqrt(n^{a:g} log n)" if a is not None else "?",
-            "power_log": f"n^{a:g} log n" if a is not None else "?",
-            "exact_product": f"Pi_n({a:g})" if a is not None else "?",
-        }[self.kind]
+        return _NORMALIZATION_NAMES[self.kind].format(a=self.exponent)
 
 
 @dataclass(frozen=True, eq=False)

@@ -496,7 +496,7 @@ def test_mass_law_violation_is_named(monkeypatch, pass_streams):
 @pytest.mark.parametrize("pass_streams", [None, 1], ids=["default", "bound1"])
 def test_mass_law_violation_is_named_on_the_exact_step(monkeypatch, pass_streams):
     # Dyadic rows summing to 1 + 2**-10, built without new_spec: the exact
-    # step carries the total as a prefix sum, and the check must still see
+    # step carries the total as one float, and the check must still see
     # it drift by 2**-10 a trial.
     matrix = np.array([[0.75, 0.25 + 2**-10], [0.5, 0.5 + 2**-10]])
     spec = core.ReplacementSpec(colors=2, matrix=matrix, initial=np.array([0.5, 0.5]))
@@ -746,7 +746,9 @@ def test_exact_prefix_sums_predicate():
     assert not core._exact_prefix_sums(new_spec(*FOUR), 1)
     # configs/two_color.json: 0.7 is no multiple of a power of two we can use.
     assert not core._exact_prefix_sums(new_spec(*GOLDEN["two_color"][0]), 1)
+    # The two dyadic shipped configs at their shipped horizon.
     assert core._exact_prefix_sums(new_spec(*FOUR_DYADIC), 50000)
+    assert core._exact_prefix_sums(new_spec(*GOLDEN["three_color_mixture"][0]), 50000)
     # Multiples of 2**-2 at K = 2: (horizon + 1) * 4 * 2 must stay below 2**53.
     spec = new_spec([[0.75, 0.25], [0.5, 0.5]], [0.5, 0.5])
     assert core._exact_prefix_sums(spec, 2**50 - 2)
@@ -759,10 +761,23 @@ def test_exact_prefix_sums_predicate():
     assert not core._exact_prefix_sums(thirds, 1000)
 
 
+def test_unequal_exact_row_sums_take_the_general_step():
+    # Dyadic, but row 0 adds 1 - 2**-41 and row 1 adds 1, which new_spec
+    # keeps: the total is not one double across trajectories.  The digest
+    # is that of the step the parent took, which gives the same bits.
+    spec = new_spec([[0.5, 0.5 - 2**-41], [0.5, 0.5]], [0.5, 0.5])
+    assert not core._exact_prefix_sums(spec, 1000)
+    paths = simulate_many(spec, 1000, 9, 5)
+    assert _sha256(paths.states) == (
+        "420763eaee6b253a3a5148a72550b3814e71f7064f70cc9031241b37d33fd4a0"
+    )
+
+
 @st.composite
 def _dyadic_models(draw):
     # Rows and initial composition with entries in multiples of 2**-p that sum
-    # to exactly 1; cut points that coincide give zero entries.
+    # to exactly 1; cut points that coincide give zero entries.  A row may
+    # repeat the one before it, so runs of equal rows share a compare row.
     k = draw(st.integers(2, 4))
     unit = 2 ** draw(st.integers(0, 10))
     cuts = st.lists(st.integers(0, unit), min_size=k - 1, max_size=k - 1)
@@ -771,18 +786,14 @@ def _dyadic_models(draw):
         edges = [0, *sorted(draw(cuts)), unit]
         return [(b - a) / unit for a, b in zip(edges, edges[1:])]
 
-    return [composition() for _ in range(k)], composition()
+    rows = [composition()]
+    for _ in range(k - 1):
+        rows.append(rows[-1] if draw(st.booleans()) else composition())
+    return rows, composition()
 
 
-@pytest.mark.parametrize("pass_streams", [1, 3])
-@settings(max_examples=40, deadline=None)
-@given(
-    model=_dyadic_models(),
-    horizon=st.integers(1, 300),
-    seed=st.integers(0, 2**31),
-    streams=st.lists(st.integers(0, 2**40), min_size=1, max_size=7, unique=True),
-)
-def test_exact_step_matches_general_step(pass_streams, model, horizon, seed, streams):
+def _assert_exact_step_matches_general_step(model, horizon, seed, streams, pass_streams):
+    # States, tracks and drift bit for bit, one-step uniforms blocks.
     spec = new_spec(*model)
     assert core._exact_prefix_sums(spec, horizon)
     vectors = [[0.3, -0.1, 0.7, 0.2][: spec.colors]]
@@ -796,3 +807,41 @@ def test_exact_step_matches_general_step(pass_streams, model, horizon, seed, str
     assert exact.states.tobytes() == general.states.tobytes()
     assert exact.tracks.tobytes() == general.tracks.tobytes()
     assert exact.max_mass_drift.hex() == general.max_mass_drift.hex()
+
+
+@pytest.mark.parametrize("pass_streams", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    model=_dyadic_models(),
+    horizon=st.integers(1, 300),
+    seed=st.integers(0, 2**31),
+    streams=st.lists(st.integers(0, 2**40), min_size=1, max_size=7, unique=True),
+)
+def test_exact_step_matches_general_step(pass_streams, model, horizon, seed, streams):
+    _assert_exact_step_matches_general_step(
+        model, horizon, seed, streams, pass_streams
+    )
+
+
+A = [0.25, 0.25, 0.375, 0.125]
+B = [0.0, 0.5, 0.25, 0.25]
+C = [0.125, 0.0, 0.0, 0.875]
+
+
+@pytest.mark.parametrize("pass_streams", [1, 3])
+@pytest.mark.parametrize(
+    "model",
+    [
+        ([[0.25, 0.5, 0.25]] * 3, [0.5, 0.0, 0.5]),
+        ([A, A, B, C], [0.25, 0.25, 0.25, 0.25]),
+        ([A, B, B, C], [0.5, 0.0, 0.25, 0.25]),
+        ([[0.75, 0.25], [0.75, 0.25]], [0.5, 0.5]),
+    ],
+    ids=["all-equal", "run-at-start", "run-in-middle", "two-equal"],
+)
+def test_exact_step_merges_runs_of_equal_rows(pass_streams, model):
+    # all-equal and two-equal compare no row at all; the runs leave one
+    # compare row each.
+    _assert_exact_step_matches_general_step(
+        model, 200, 17, [0, 5, 2**33, 9, 4], pass_streams
+    )

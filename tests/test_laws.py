@@ -89,6 +89,17 @@ def test_unknown_normalization_kind_is_refused_when_built():
         assert str(norm) and np.isfinite(norm.at(10))
 
 
+@pytest.mark.parametrize(
+    "kind", ["power", "power_sqrt_log", "power_log", "exact_product"]
+)
+@pytest.mark.parametrize("exponent", [None, math.nan, math.inf, True])
+def test_exponent_kinds_refuse_a_missing_exponent_when_built(kind, exponent):
+    with pytest.raises(ValueError, match=re.escape(
+        f"normalization kind {kind!r} needs a finite exponent, got {exponent!r}"
+    )):
+        Normalization(kind, exponent)
+
+
 def test_two_color_prediction_frozen():
     rows = rows_by_label(classify(new_spec(TWO, [4 / 7, 3 / 7])))
     fluct = rows["fluct"]
