@@ -292,11 +292,6 @@ def _csv_name(index: int, label: str) -> str:
     return f"samples_{index}_{safe}.csv"
 
 
-def _repr_cells(values: np.ndarray) -> np.ndarray:
-    """repr(float(x)) for every x of a 1-d float64 array, as an object array."""
-    return np.array(list(map(repr, values.tolist())), dtype=object)
-
-
 def _float_cells(values) -> np.ndarray:
     """repr(float(x)) for every x of a float64 array, as an object array of
     the same shape.
@@ -307,7 +302,8 @@ def _float_cells(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return _repr_cells(patterns.view(np.float64))[inverse.reshape(values.shape)]
+    cells = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+    return cells[inverse.reshape(values.shape)]
 
 
 def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
@@ -316,11 +312,11 @@ def _write_sample_csvs(report: EnsembleReport, out: Path) -> list[str]:
     Float cells hold repr of the Python float;
     normalized_value is empty where the normalization is not finite, and
     z_value (empty when not finite) and U_hat are filled on the terminal
-    checkpoint line only.  Cells and lines are built by _sample_chunks, at
-    most max(_CSV_LINES, C) lines at a time for C checkpoints, the lines
-    joined in C, so of the text and cells only one chunk's, each checkpoint
-    column's distinct strings, an index per (trajectory, checkpoint) and the
-    per-trajectory z_value and U_hat cells are held, whatever the grid.
+    checkpoint line only.  Text is built by _sample_chunks, at most
+    max(_CSV_LINES, C) lines at a time for C checkpoints, so of the text
+    only one chunk's is held, and beyond it one string per (checkpoint,
+    distinct bit pattern), an index per (trajectory, checkpoint) and the
+    per-trajectory z_value and U_hat cells, whatever the grid.
     """
     written = []
     for i, outcome in enumerate(report.outcomes):
@@ -337,33 +333,32 @@ def _sample_chunks(report: EnsembleReport, outcome):
 
     A chunk holds max(1, _CSV_LINES // C) trajectories for C checkpoints,
     so at most max(_CSV_LINES, C) lines.  Each checkpoint column is
-    formatted once, one raw and one normalized string per distinct bit
-    pattern, and a cell is an index into those strings, so no whole column
-    of cells is ever held.  A chunk is one join of a flat array of its
-    first trajectory id and each line's checkpoint, raw, normalized and
-    tail cells; a tail ends its line and, but for the chunk's last, carries
-    the next line's trajectory id.
+    formatted once: one string per distinct bit pattern holds a line's
+    checkpoint, raw and normalized cells and its end, ",,\n" (no z_value
+    or U_hat) but on the terminal column, which ends in "," instead.  A
+    trajectory's text is then "t," before each of its C strings and
+    "z_value,U_hat\n" last, and a chunk is one join of those pieces.
     """
     row = outcome.prediction
     cps = report.checkpoints
     raw = report.track_values[:, :, report.track_labels.index(row.label)]
-    cp_cells = np.array([str(int(n)) for n in cps], dtype=object)
-    # Cell (t, j) is entry index[t, j] of raw_strings and norm_strings,
-    # which hold column 0's strings, then column 1's, and so on.
+    # Cell (t, j) is entry index[t, j] of strings, which holds column 0's
+    # strings, then column 1's, and so on.
     index = np.empty(raw.shape, dtype=np.intp)
-    raw_strings, norm_strings, offset = [], [], 0
+    strings, offset = [], 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j, scale in enumerate(row.normalization.at(cps)):
+        for j, (n, scale) in enumerate(zip(cps.tolist(), row.normalization.at(cps))):
             patterns, inverse = np.unique(raw[:, j].view(np.int64), return_inverse=True)
             index[:, j] = inverse + offset
             offset += patterns.size
             distinct = patterns.view(np.float64)
-            raw_strings.append(_repr_cells(distinct))
-            norm_strings.append(
-                _repr_cells(distinct / scale) if np.isfinite(scale)
-                else np.full(patterns.size, "", dtype=object)
+            norms = (
+                map(repr, (distinct / scale).tolist()) if np.isfinite(scale)
+                else [""] * patterns.size
             )
-    raw_strings, norm_strings = np.concatenate(raw_strings), np.concatenate(norm_strings)
+            end = "," if j == cps.size - 1 else ",,\n"
+            strings += [f"{n},{x!r},{y}{end}" for x, y in zip(distinct.tolist(), norms)]
+    strings = np.array(strings, dtype=object)
     z_cells = np.full(report.ensemble, "", dtype=object)
     if outcome.z_sample is not None:
         z_cells = _float_cells(outcome.z_sample)
@@ -375,17 +370,11 @@ def _sample_chunks(report: EnsembleReport, outcome):
     chunk = max(1, _CSV_LINES // cps.size)
     for lo in range(0, report.ensemble, chunk):
         hi = min(lo + chunk, report.ensemble)
-        ids = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-        flat = np.empty(1 + (hi - lo) * cps.size * 4, dtype=object)
-        flat[0] = ids[0]
-        cells = flat[1:].reshape(hi - lo, cps.size, 4)
-        cells[:, :, 0] = cp_cells
-        cells[:, :, 1] = raw_strings[index[lo:hi]]
-        cells[:, :, 2] = norm_strings[index[lo:hi]]
-        cells[:, :-1, 3] = (",\n" + ids[:-1])[:, None]
-        cells[:, -1, 3] = ends[lo:hi] + ids[1:]
-        cells[-1, -1, 3] = ends[hi - 1]
-        yield ",".join(flat.tolist())
+        pieces = np.empty((hi - lo, 2 * cps.size + 1), dtype=object)
+        pieces[:, :-1:2] = np.array([f"{t}," for t in range(lo, hi)], dtype=object)[:, None]
+        pieces[:, 1::2] = strings[index[lo:hi]]
+        pieces[:, -1] = ends[lo:hi]
+        yield "".join(pieces.ravel().tolist())
 
 
 def _outcome_lines(report: EnsembleReport) -> list[str]:

@@ -112,7 +112,8 @@ class Normalization:
     at() returns NaN where the sequence is zero or undefined (n = 0 for
     powers, n < 2 whenever a log factor is involved).  The four kinds with
     an exponent a refuse, when built, one that is missing or not a finite
-    real.
+    real; the other two store None for any exponent given, so that == and
+    hash follow the sequence.
     """
 
     kind: str
@@ -130,7 +131,9 @@ class Normalization:
             and not isinstance(a, bool)
             and math.isfinite(a)
         )
-        if self.kind in _EXPONENT_KINDS and not finite:
+        if self.kind not in _EXPONENT_KINDS:
+            object.__setattr__(self, "exponent", None)
+        elif not finite:
             raise ValueError(
                 f"normalization kind {self.kind!r} needs a finite exponent, "
                 f"got {a!r}"

@@ -334,11 +334,13 @@ def run_ensemble(
                 np.abs(paths.tracks[:, :, idx] - row.initial_value).max()
             )
         if row.limit_kind is LimitKind.DETERMINISTIC_CONSTANT:
+            # One (M, C) array, reused in place: the same elementwise
+            # operations as out of place, so the same bits and any NaN.
             with np.errstate(invalid="ignore", divide="ignore"):
-                norm_grid = row.normalization.at(cps)
-                tracks_norm = paths.tracks[:, :, idx] / norm_grid[None, :]
+                deviation = paths.tracks[:, :, idx] / row.normalization.at(cps)
+            np.subtract(deviation, row.limit_mean or 1.0, out=deviation)
             fields["constant_deviation"] = float(
-                np.abs(tracks_norm - (row.limit_mean or 1.0)).max()
+                np.abs(deviation, out=deviation).max()
             )
         outcomes.append(
             PredictionOutcome(

@@ -440,9 +440,14 @@ def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
     pinned = dataclasses.replace(
         drawn, track_values=np.broadcast_to(values, drawn.track_values.shape).copy()
     )
+    # A single-checkpoint grid, where every line is a terminal line.
+    single = dataclasses.replace(
+        drawn, checkpoints=drawn.checkpoints[-1:],
+        track_values=drawn.track_values[:, -1:].copy(),
+    )
     # Line budgets over 4 checkpoints: one trajectory per chunk, three (which
     # do not divide the 4 trajectories), and the whole ensemble.
-    for tag, report in (("pinned", pinned), ("drawn", drawn)):
+    for tag, report in (("pinned", pinned), ("single", single), ("drawn", drawn)):
         for budget in (1, 12, 4096):
             monkeypatch.setattr("urnlab.cli._CSV_LINES", budget)
             out = tmp_path / f"{tag}-{budget}"
@@ -455,6 +460,21 @@ def test_sample_csvs_match_line_by_line_reference(tmp_path, monkeypatch):
     lines = (out / mixture_csv).read_text().splitlines()
     terminal = [line.split(",") for line in lines if line.startswith("1,8,")]
     assert [cells[4:] for cells in terminal] == [["", "1e-13"]]
+
+
+@pytest.mark.parametrize("config", ["three_color_mixture", "four_color_jordan"])
+def test_sample_csvs_of_shipped_configs_match_reference(tmp_path, config):
+    # Simulated reports: real U_hat cells, normalizations that are NaN at
+    # n = 0, and almost-sure rows.
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    spec = new_spec(cfg["replacement_matrix"], cfg["initial_composition"])
+    report = run_ensemble(spec, predict(classify(spec)), horizon=1000,
+                          ensemble=100, seed=cfg["seed"])
+    kinds = {o.prediction.limit_kind for o in report.outcomes}
+    assert {LimitKind.AS_RANDOM_VARIABLE, LimitKind.NORMAL_MIXTURE} <= kinds
+    names = _write_sample_csvs(report, tmp_path)
+    for name, outcome in zip(names, report.outcomes):
+        assert (tmp_path / name).read_text() == _reference_csv(report, outcome)
 
 
 @pytest.mark.parametrize("budget", [None, 1000, 100], ids=["default", "1000", "100"])

@@ -89,6 +89,17 @@ def test_unknown_normalization_kind_is_refused_when_built():
         assert str(norm) and np.isfinite(norm.at(10))
 
 
+@pytest.mark.parametrize("kind", ["mass", "sqrt_n_log_n"])
+def test_exponent_free_kinds_ignore_a_given_exponent(kind):
+    # Both kinds ignore an exponent, so one given must not tell two equal
+    # sequences apart.
+    plain = getattr(Normalization, kind)()
+    for exponent in (0.5, math.nan, "x"):
+        given_one = Normalization(kind, exponent)
+        assert given_one == plain and hash(given_one) == hash(plain)
+        assert given_one.exponent is None
+
+
 @pytest.mark.parametrize(
     "kind", ["power", "power_sqrt_log", "power_log", "exact_product"]
 )

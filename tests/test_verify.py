@@ -8,6 +8,7 @@ from urnlab import (
     Normalization,
     PredictionOutcome,
     classify,
+    core,
     evaluate_report,
     ks_standard_normal,
     new_spec,
@@ -388,6 +389,51 @@ def test_bad_max_draws_is_refused_before_any_draw(monkeypatch, cap, message):
     with pytest.raises(ValueError, match=message):
         run_ensemble(TWO, predict(classify(TWO)), horizon=1000, ensemble=100,
                      max_draws=cap)
+
+
+def _doctored_mass_row(monkeypatch, spec, edit=None):
+    """The mass row's outcome and check of run_ensemble(spec), with
+    edit(mass_track, checkpoints) applied to the simulated paths first."""
+    def doctored(*args, **kwargs):
+        paths = core.simulate_many(*args, **kwargs)
+        if edit is not None:
+            edit(paths.tracks[:, :, 0], paths.checkpoints)
+        return paths
+
+    monkeypatch.setattr(verify, "simulate_many", doctored)
+    report = run_ensemble(spec, predict(classify(spec)), horizon=1000, ensemble=100,
+                          seed=5)
+    outcome, row = report.outcomes[0], evaluate_report(report).rows[0]
+    assert outcome.prediction.label == row.label == "mass"
+    mass_law = next(c for c in row.checks if c.name == "mass-law")
+    return report, outcome, mass_law
+
+
+def _set_nan(track, cps):
+    track[17, 3] = np.nan
+
+
+def _move_one(track, cps):
+    track[42, -2] -= 1e-8 * (cps[-2] + 1)
+
+
+@pytest.mark.parametrize("edit", [_set_nan, _move_one])
+@pytest.mark.parametrize("spec", [TWO, MIX], ids=["general-step", "exact-step"])
+def test_mass_law_fails_on_doctored_mass_track(monkeypatch, spec, edit):
+    _, _, clean = _doctored_mass_row(monkeypatch, spec)
+    assert clean.passed
+    _, _, doctored = _doctored_mass_row(monkeypatch, spec, edit)
+    assert not doctored.passed
+
+
+@pytest.mark.parametrize("spec", [TWO, MIX], ids=["general-step", "exact-step"])
+def test_mass_deviation_matches_out_of_place_expression(monkeypatch, spec):
+    report, outcome, _ = _doctored_mass_row(monkeypatch, spec)
+    row = outcome.prediction
+    cps = report.checkpoints
+    tracks_norm = report.track_values[:, :, 0] / row.normalization.at(cps)[None, :]
+    expected = float(np.abs(tracks_norm - (row.limit_mean or 1.0)).max())
+    assert outcome.constant_deviation.hex() == expected.hex()
 
 
 def test_ks_refuses_nan_and_accepts_infinities():
