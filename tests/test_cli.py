@@ -255,6 +255,25 @@ def test_unsupported_structure_exits_two(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_classify_prints_an_unsupported_class_and_exits_two(tmp_path, capsys):
+    bad = dict(TWO)
+    bad["replacement_matrix"] = [
+        [0.2, 0.8, 0.0],
+        [0.3, 0.2, 0.5],
+        [0.1, 0.2, 0.7],
+    ]
+    bad["initial_composition"] = [1 / 3] * 3
+    assert run(tmp_path, "classify", bad) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "family: unsupported"
+    assert lines[-1] == (
+        "warning: no supported block-triangular structure found under any "
+        "relabeling of colors"
+    )
+    assert captured.err == ""
+
+
 def test_degenerate_initial_exits_two(tmp_path):
     bad = dict(TWO)
     bad["replacement_matrix"] = [[0.5, 0.5], [0.0, 1.0]]

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import re
 
@@ -810,3 +812,66 @@ def test_predict_pins_every_branch(name):
                 assert value == pytest.approx(want, rel=1e-12), (r.label, field)
             else:
                 assert value == want, (r.label, field)
+
+
+def _exact(value):
+    """A field as exact text: floats by float.hex, the normalization as
+    (kind, exponent, str), each scalar with its type."""
+    if isinstance(value, Normalization):
+        return (_exact(value.kind), _exact(value.exponent), str(value))
+    if isinstance(value, np.ndarray):
+        return (str(value.dtype), value.shape, [v.hex() for v in value.tolist()])
+    text = value.hex() if isinstance(value, float) else repr(value)
+    return (type(value).__name__, text)
+
+
+def _predict_digest(matrix, initial) -> str:
+    rows = predict(classify(new_spec(matrix, initial)))
+    text = repr([
+        [(f.name, _exact(getattr(r, f.name))) for f in dataclasses.fields(r)]
+        for r in rows
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of every LawPrediction field of every row per branch, exactly.
+PREDICT_DIGESTS = {
+    "identity": "172105c44740a50e15190aafb63931fd6c6224241faedd4cbba93240753fadb9",
+    "two_zero": "8bca04a87a88f865f765b0c72a53b00b2885c870ee6d6258c625d701b7113f04",
+    "two_below": "e0515409b1289d2af32cc48434069eb0763487e3069aa1cb4de852c3831223ca",
+    "two_negative": "509a636aeae5cc7a208738212ed93f0280c013b694682ecdb85261b6db574aa1",
+    "two_half": "820f4362abded51eaa78e6b7b2a35f631d816195ad0fc1e1f5966f9c8b26bf90",
+    "two_above": "fb7a665cb5767c8f745bbef98156b1ce5a87615974e5a042c71c71830c9faf91",
+    "two_triangular": "cf31fa989d47262e1448a695b3db49eb4ffa1b4a3b88f719955b199ff410079a",
+    "one_dom_zero": "771e222e5e356167e53d4e728863d92924f44b3f6b47ab84509d676fa0a6101a",
+    "one_dom_below": "c7252d73e0ac90f79250eedb9df37230e261d542353deaa00b2e019d6c49fd5b",
+    "one_dom_half": "3a6afa44940de003cfaab08e64ffc088569800fbd66888e99c8112d48be04375",
+    "one_dom_above": "14af08ab35f3407d386b169b9e4b8a1156a930e8dd36f0ee3c5a699079498232",
+    "two_dom_zero": "51fc4cc2060a2bd6c095783f783846ad2b1e65e108c65fd1f42de7f2c41a6243",
+    "two_dom_below": "d2ba805b7f7607e13c8713511b235adcb8c2e97ee63886c899b15320e46638dc",
+    "two_dom_negative": "6ff640e13045cba55746d5cebbf36ad8be22e47ebd7798b0bf9b19f427869f5c",
+    "two_dom_half": "e44750a6f35c76c435e7d4dcfefcfec3fafe78dd7ca842aa9d27812f3c3263e5",
+    "two_dom_above": "34f8309a37a2a76039acdc166ad00736610802604c1299e92b8fed2386840da5",
+    "two_dom_periodic": "8a564c60c4be3966a7cb042024deef66f66ce99d48051df501fdee0b58e7ee93",
+    "three_jordan_below": "8da12f72d89efbb95ded6b4fad7c15ce28e6f16a6f899d57bc34caab60ddebf6",
+    "three_jordan_below_relabeled": "2519d0d7965a3a4876ae0755c4d8a9dbaa4e22b4133c3c29d9b5466e99e9e152",
+    "three_jordan_above": "8d926c823a1b6b6f1549ae315875d8e17af6135c2ac9d30edc0b2d9fbd22530a",
+    "four_diag_zero": "708324afd62578bd2e55a2a254a25f9c2304f72adfe92b23d49a3e2a4e5375aa",
+    "four_diag_below": "887dbed749de1e4e399bb58b4a3c546c487f38554c524b774159e6a40701edc2",
+    "four_diag_half": "48c5e8486184bc60b3936236344506c51994830190f7376d1f6c5b714242be9e",
+    "four_diag_above": "46d24a8bb6f88ded6781afc30dabec7d7ed03169274a3d680ec13fb1b6ba372c",
+    "four_diag_periodic": "24cf7fe859071275e5bd1c673e7d8727513455577d1cf6bfb7b466abd23c8e1c",
+    "four_jordan_zero": "c7f9f106a311a2116d6819b8f01704b05e554d49dcc28828b5bfd382b79b8d4c",
+    "four_jordan_below": "d730890c2f0b32f4bf0394e45d4b06eb436f579d6e06b131b2be1789e4d5b812",
+    "four_jordan_below_relabeled": "75315af242a98966bf0e2025a5c6071d4a60b8fc21b101e63181380ac11b8c06",
+    "four_jordan_sub_total": "8f6559952c07e9f293cb739aae7954b5fb9a5154bf5dc3ddb0b298f8c2fef37d",
+    "four_jordan_sub_fluct": "839ddd12b91a1fab3f0c42932a17c637fdcfeaa6de19b084c8853ff18a363ec2",
+}
+
+
+def test_predict_field_digests_pin_every_branch():
+    got = {
+        name: _predict_digest(matrix, initial)
+        for name, (matrix, initial, _, _) in BRANCHES.items()
+    }
+    assert got == PREDICT_DIGESTS
