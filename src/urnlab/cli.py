@@ -166,17 +166,6 @@ def _build_spec(cfg: dict) -> ReplacementSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _classify(spec: ReplacementSpec) -> StructureClass:
-    try:
-        klass = classify(spec)
-    except ValueError as exc:
-        raise UnsupportedStructure(str(exc)) from exc
-    if not klass.supported:
-        reasons = "; ".join(klass.warnings) or "no matching family"
-        raise UnsupportedStructure(reasons)
-    return klass
-
-
 def _fmt(x) -> str:
     if x is None:
         return "-"
@@ -590,15 +579,16 @@ def _dispatch(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     checkpoints = _checkpoints(cfg)
     spec = _build_spec(cfg)
+    try:
+        klass = classify(spec)
+    except ValueError as exc:
+        raise UnsupportedStructure(str(exc)) from exc
     if args.command == "classify":
-        try:
-            klass = classify(spec)
-        except ValueError as exc:
-            raise UnsupportedStructure(str(exc)) from exc
         for line in _classification_lines(klass):
             print(line)
         return 2 if not klass.supported else 0
-    klass = _classify(spec)
+    if not klass.supported:
+        raise UnsupportedStructure("; ".join(klass.warnings) or "no matching family")
     rows = predict(klass)
     if args.command == "predict":
         for line in _classification_lines(klass) + _prediction_lines(rows):

@@ -88,7 +88,8 @@ UNIFORM_BLOCK_BYTES = 4 * 10**6
 # passes of at most this many, each holding only its own generators (about
 # 1.4 KB of memory a stream).  2048 keeps an ensemble of 2000 in one pass.
 PASS_STREAMS = 2048
-# Stream ids must fit EnsemblePaths.streams, an int64 array.
+# Stream ids, the horizon and checkpoints must fit int64 arrays
+# (EnsemblePaths.streams and the checkpoint grid).
 STREAM_LIMIT = 2**63
 # Default resource cap on horizon * ensemble for one Monte Carlo run.
 DEFAULT_MAX_DRAWS = 4_000_000_000
@@ -204,8 +205,8 @@ def new_spec(matrix, initial) -> ReplacementSpec:
 def default_checkpoints(horizon: int) -> np.ndarray:
     """0, the powers of two below the horizon, and the horizon itself.
 
-    horizon must be an integer >= 1; an integral float such as 3.0 counts,
-    a bool or a fraction raises ValueError."""
+    horizon must be an integer in [1, 2**63); an integral float such as 3.0
+    counts, a bool or a fraction raises ValueError."""
     horizon = _checked_horizon(horizon)
     cps = [0]
     p = 1
@@ -233,6 +234,8 @@ def _checked_horizon(horizon) -> int:
     horizon = _integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if horizon >= STREAM_LIMIT:
+        raise ValueError(f"horizon must be below 2**63, got {horizon}")
     return horizon
 
 
@@ -376,7 +379,8 @@ def _validated_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("checkpoints must be a non-empty 1-d integer sequence")
     for i, v in enumerate(raw):
-        _integer(v, f"checkpoints[{i}]")
+        if not -STREAM_LIMIT <= _integer(v, f"checkpoints[{i}]") < STREAM_LIMIT:
+            raise ValueError(f"checkpoints[{i}] does not fit in int64: {v!r}")
     cps = raw.astype(np.int64)
     if np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
@@ -588,7 +592,8 @@ def simulate_many(
     streams, checkpoints, track_vectors).  The seed must be an integer >= 0
     and every stream id an integer in [0, 2**63); integral floats such as
     3.0 count as integers, bools and fractions raise ValueError, before any
-    array is allocated.  horizon is checked the same way and must be >= 1.
+    array is allocated.  horizon and every checkpoint are checked the same
+    way; horizon must lie in [1, 2**63) and a checkpoint fit in int64.
     Trajectory m draws from trajectory_rng(seed, streams[m], key=...), with
     all M keys from one _stream_keys pass.
 

@@ -16,6 +16,13 @@ The two-color irreducible matrix is a dominant block alone, and the identity
 matrix gets one share row per color but the last.  Each row builder
 branches only on where its eigenvalue sits against 1/2.
 
+One function, _block_row, writes the fluctuation row of every 2x2 block on
+its clock n^s.  A dominant block runs on n itself (s = 1) and its track is
+normal; the non-dominant sub-block runs on the random clock U n^s with
+s < 1, which turns the variance into c U, a normal mixture over the limit U
+of sub_total.  Each normalization kind is one entry of a table holding its
+name and its values.
+
 The product pi_n(a) = prod_{j<n} (1 + a/(j+1)) is the exact mean growth
 factor of any eigen-combination with eigenvalue a and doubles as the
 martingale normalization; pi_n(a) * Gamma(a+1) / n^a -> 1.
@@ -29,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from .core import _integer
 from .spectral import Family, StructureClass, ZERO_TOL, REPEAT_TOL
 
 __all__ = [
@@ -53,10 +61,10 @@ def pi_n(a: float, n: int) -> float:
     E[C_n . v] for R v = -v.
     """
     a = float(a)
-    n = int(n)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if a < -1.0:
+    if not a >= -1.0:
         raise ValueError(f"requires eigenvalue >= -1, got {a!r}")
     if a == 0.0 or n == 0:
         return 1.0
@@ -73,10 +81,10 @@ def pi_n(a: float, n: int) -> float:
 
 def euler_ratio(a: float, n: int) -> float:
     """pi_n(a) * Gamma(a+1) / n^a for a > -1; tends to 1 as n grows."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if float(a) <= -1.0:
+    if not float(a) > -1.0:
         raise ValueError(f"requires eigenvalue > -1, got {float(a)!r}")
     return pi_n(a, n) * math.gamma(float(a) + 1.0) / float(n) ** float(a)
 
@@ -91,16 +99,34 @@ class LimitKind(Enum):
     EXACTLY_CONSTANT_TRACK = "exactly-constant-track"
 
 
-# Each kind's name as str() prints it, with {a:g} for the exponent.
-_NORMALIZATION_NAMES = {
-    "mass": "n+1",
-    "power": "n^{a:g}",
-    "sqrt_n_log_n": "sqrt(n log n)",
-    "power_sqrt_log": "sqrt(n^{a:g} log n)",
-    "power_log": "n^{a:g} log n",
-    "exact_product": "Pi_n({a:g})",
+def _logged(evaluate):
+    """evaluate(x, log x, a) where the log factor is defined (x >= 2), NaN
+    elsewhere."""
+    def at(x, a):
+        safe = np.where(x >= 2.0, x, np.nan)
+        return evaluate(safe, np.log(safe), a)
+    return at
+
+
+def _exact_product(x, a):
+    flat = [pi_n(a, int(v)) if v >= 0 else np.nan for v in x.ravel()]
+    return np.array(flat).reshape(x.shape)
+
+
+# Per kind: its name as str() prints it, with {a:g} exactly where the kind
+# has an exponent a, and its values at float times x.
+_KINDS = {
+    "mass": ("n+1", lambda x, a: x + 1.0),
+    "power": ("n^{a:g}", lambda x, a: np.where(x >= 1.0, x, np.nan) ** a),
+    "sqrt_n_log_n": (
+        "sqrt(n log n)", _logged(lambda x, log, a: np.sqrt(x * log))
+    ),
+    "power_sqrt_log": (
+        "sqrt(n^{a:g} log n)", _logged(lambda x, log, a: np.sqrt(x**a * log))
+    ),
+    "power_log": ("n^{a:g} log n", _logged(lambda x, log, a: x**a * log)),
+    "exact_product": ("Pi_n({a:g})", _exact_product),
 }
-_EXPONENT_KINDS = ("power", "power_sqrt_log", "power_log", "exact_product")
 
 
 @dataclass(frozen=True)
@@ -112,88 +138,46 @@ class Normalization:
     at() returns NaN where the sequence is zero or undefined (n = 0 for
     powers, n < 2 whenever a log factor is involved).  The four kinds with
     an exponent a refuse, when built, one that is missing or not a finite
-    real; the other two store None for any exponent given, so that == and
-    hash follow the sequence.
+    real, and store it as a float; the other two store None for any
+    exponent given, so that == and hash follow the sequence.
     """
 
     kind: str
     exponent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _NORMALIZATION_NAMES:
+        if self.kind not in _KINDS:
             raise ValueError(
                 f"unknown normalization kind {self.kind!r}; "
-                f"known kinds: {', '.join(_NORMALIZATION_NAMES)}"
+                f"known kinds: {', '.join(_KINDS)}"
             )
         a = self.exponent
-        finite = (
+        if "{a:g}" not in _KINDS[self.kind][0]:
+            a = None
+        elif not (
             isinstance(a, numbers.Real)
             and not isinstance(a, bool)
             and math.isfinite(a)
-        )
-        if self.kind not in _EXPONENT_KINDS:
-            object.__setattr__(self, "exponent", None)
-        elif not finite:
+        ):
             raise ValueError(
                 f"normalization kind {self.kind!r} needs a finite exponent, "
                 f"got {a!r}"
             )
-
-    @classmethod
-    def mass(cls) -> "Normalization":
-        return cls("mass")
-
-    @classmethod
-    def power(cls, a: float) -> "Normalization":
-        return cls("power", float(a))
-
-    @classmethod
-    def sqrt_n_log_n(cls) -> "Normalization":
-        return cls("sqrt_n_log_n")
-
-    @classmethod
-    def power_sqrt_log(cls, a: float) -> "Normalization":
-        return cls("power_sqrt_log", float(a))
-
-    @classmethod
-    def power_log(cls, a: float) -> "Normalization":
-        return cls("power_log", float(a))
-
-    @classmethod
-    def exact_product(cls, a: float) -> "Normalization":
-        return cls("exact_product", float(a))
+        else:
+            a = float(a)
+        object.__setattr__(self, "exponent", a)
 
     def at(self, n):
         """Evaluate at integer times n (scalar or array) as float."""
         x = np.asarray(n, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.kind == "mass":
-                out = x + 1.0
-            elif self.kind == "power":
-                out = np.where(x >= 1.0, x, np.nan) ** self.exponent
-            elif self.kind == "sqrt_n_log_n":
-                safe = np.where(x >= 2.0, x, np.nan)
-                out = np.sqrt(safe * np.log(safe))
-            elif self.kind == "power_sqrt_log":
-                safe = np.where(x >= 2.0, x, np.nan)
-                out = np.sqrt(safe**self.exponent * np.log(safe))
-            elif self.kind == "power_log":
-                safe = np.where(x >= 2.0, x, np.nan)
-                out = safe**self.exponent * np.log(safe)
-            else:  # "exact_product"
-                flat = np.array(
-                    [
-                        pi_n(self.exponent, int(v)) if v >= 0 else np.nan
-                        for v in np.atleast_1d(x)
-                    ]
-                )
-                out = flat.reshape(np.shape(x))
+            out = _KINDS[self.kind][1](x, self.exponent)
         if np.isscalar(n) or np.ndim(n) == 0:
             return float(out)
         return out
 
     def __str__(self) -> str:
-        return _NORMALIZATION_NAMES[self.kind].format(a=self.exponent)
+        return _KINDS[self.kind][0].format(a=self.exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +217,7 @@ def _mass_row(spec) -> LawPrediction:
     return LawPrediction(
         label="mass",
         vector=np.ones(k),
-        normalization=Normalization.mass(),
+        normalization=Normalization("mass"),
         limit_kind=LimitKind.DETERMINISTIC_CONSTANT,
         initial_value=float(spec.initial.sum()),
         positive_limit=True,
@@ -247,7 +231,7 @@ def _constant_row(label: str, vector: np.ndarray, initial: float) -> LawPredicti
     return LawPrediction(
         label=label,
         vector=vector,
-        normalization=Normalization.exact_product(0.0),
+        normalization=Normalization("exact_product", 0.0),
         limit_kind=LimitKind.EXACTLY_CONSTANT_TRACK,
         initial_value=initial,
         martingale_eigenvalue=0.0,
@@ -267,99 +251,68 @@ def _track(klass: StructureClass, label: str) -> tuple[np.ndarray, float]:
     return vector, float(klass.spec.initial @ vector)
 
 
-def _sign_free_row(
-    label: str, vector: np.ndarray, a: float, initial: float
-) -> LawPrediction:
-    """Eigen-combination with eigenvalue a above 1/2, normalized by n^a."""
-    return LawPrediction(
-        label=label,
-        vector=vector,
-        normalization=Normalization.power(a),
-        limit_kind=LimitKind.AS_RANDOM_VARIABLE,
-        initial_value=initial,
-        martingale_eigenvalue=a,
-        notes="power-normalized martingale track; the limit is non-degenerate "
-        "but its sign is not pinned",
-    )
-
-
-def _fluct_row(
+def _block_row(
     klass: StructureClass,
     label: str,
     lam: float,
     stationary: np.ndarray,
     eigvec: np.ndarray,
+    s: float = 1.0,
 ) -> LawPrediction:
-    """Fluctuation track of an irreducible block at overall scale sqrt(n).
+    """Fluctuation track of a 2x2 block with eigenvalue lam on the clock n^s.
 
-    lam below 1/2 is asymptotically normal, at 1/2 normal with a log
-    correction, above 1/2 the power-normalized track converges on its own.
-    A block that alternates deterministically (lam = -1) has no limit law,
-    so its normal claim is marked unverified.
+    lam below 1/2 is asymptotically normal at scale n^(s/2), at 1/2 normal
+    with a log correction, above 1/2 the track normalized by n^(s lam)
+    converges on its own.  A dominant block runs on n (s = 1).  The
+    sub-block runs on U n^s with s < 1, U the limit of sub_total, so its
+    normal variance becomes the mixture c U.  A dominant block that
+    alternates deterministically (lam = -1) has no limit law, so its normal
+    claim is marked unverified.
     """
     vector, initial = _track(klass, label)
+    if abs(lam) <= ZERO_TOL:
+        return _constant_row(label, vector, initial)
+    row = dict(
+        label=label, vector=vector, initial_value=initial,
+        martingale_eigenvalue=s * lam,
+    )
     pi2 = _pi_weighted_square(stationary, eigvec)
-    if abs(lam) <= ZERO_TOL:
-        return _constant_row(label, vector, initial)
     if lam < 0.5 - REPEAT_TOL:
-        return LawPrediction(
-            label=label,
-            vector=vector,
-            normalization=Normalization.power(0.5),
-            limit_kind=LimitKind.NORMAL,
-            variance=lam * lam / (1.0 - 2.0 * lam) * pi2,
-            initial_value=initial,
-            martingale_eigenvalue=lam,
-            notes="dominant block is periodic; this normal claim is unverified"
-            if lam <= -1.0 + REPEAT_TOL
-            else "",
+        norm = Normalization("power", s / 2.0)
+        c = s * lam * lam / (1.0 - 2.0 * lam) * pi2
+    elif abs(lam - 0.5) <= REPEAT_TOL:
+        # Kept as its own kind on n itself, so that str() reads sqrt(n log n).
+        norm = (
+            Normalization("power_sqrt_log", s) if s < 1.0
+            else Normalization("sqrt_n_log_n")
         )
-    if abs(lam - 0.5) <= REPEAT_TOL:
+        c = s * s * lam * lam * pi2
+    else:
         return LawPrediction(
-            label=label,
-            vector=vector,
-            normalization=Normalization.sqrt_n_log_n(),
-            limit_kind=LimitKind.NORMAL,
-            variance=lam * lam * pi2,
-            initial_value=initial,
-            martingale_eigenvalue=lam,
+            **row,
+            normalization=Normalization("power", s * lam),
+            limit_kind=LimitKind.AS_RANDOM_VARIABLE,
+            notes="power-normalized martingale track; the limit is "
+            "non-degenerate but its sign is not pinned",
         )
-    return _sign_free_row(label, vector, lam, initial)
-
-
-def _sub_fluct_row(klass: StructureClass) -> LawPrediction:
-    """Sub-block fluctuation track; variance mixes over the sub-mass limit."""
-    label = "sub_fluct"
-    vector, initial = _track(klass, label)
-    s, lam = klass.scale, klass.lam
-    pi2 = _pi_weighted_square(klass.stationary_sub, klass.eigvec_lam)
-    if abs(lam) <= ZERO_TOL:
-        return _constant_row(label, vector, initial)
-    if lam < 0.5 - REPEAT_TOL:
+    if s < 1.0:
         return LawPrediction(
-            label=label,
-            vector=vector,
-            normalization=Normalization.power(s / 2.0),
+            **row,
+            normalization=norm,
             limit_kind=LimitKind.NORMAL_MIXTURE,
-            mixture_coefficient=s * lam * lam / (1.0 - 2.0 * lam) * pi2,
+            mixture_coefficient=c,
             mixing_label="sub_total",
-            initial_value=initial,
-            martingale_eigenvalue=s * lam,
             notes="normal with variance proportional to the sub-block mass limit",
         )
-    if abs(lam - 0.5) <= REPEAT_TOL:
-        return LawPrediction(
-            label=label,
-            vector=vector,
-            normalization=Normalization.power_sqrt_log(s),
-            limit_kind=LimitKind.NORMAL_MIXTURE,
-            mixture_coefficient=s * s * lam * lam * pi2,
-            mixing_label="sub_total",
-            initial_value=initial,
-            martingale_eigenvalue=s * lam,
-            notes="normal with variance proportional to the sub-block mass limit",
-        )
-    return _sign_free_row(label, vector, s * lam, initial)
+    return LawPrediction(
+        **row,
+        normalization=norm,
+        limit_kind=LimitKind.NORMAL,
+        variance=c,
+        notes="dominant block is periodic; this normal claim is unverified"
+        if lam <= -1.0 + REPEAT_TOL
+        else "",
+    )
 
 
 def _positive_row(klass: StructureClass, label: str, what: str) -> LawPrediction:
@@ -369,7 +322,7 @@ def _positive_row(klass: StructureClass, label: str, what: str) -> LawPrediction
     return LawPrediction(
         label=label,
         vector=vector,
-        normalization=Normalization.power(s),
+        normalization=Normalization("power", s),
         limit_kind=LimitKind.AS_RANDOM_VARIABLE,
         initial_value=initial,
         positive_limit=True,
@@ -396,7 +349,7 @@ def _generalized_row(
         return LawPrediction(
             label=label,
             vector=vector,
-            normalization=Normalization.power(klass.scale / 2.0),
+            normalization=Normalization("power", klass.scale / 2.0),
             limit_kind=LimitKind.NORMAL_MIXTURE,
             mixture_coefficient=_pi_weighted_square(
                 klass.stationary_sub, klass.eigvec_lam
@@ -414,7 +367,7 @@ def _generalized_row(
         return LawPrediction(
             label=label,
             vector=vector,
-            normalization=Normalization.power(0.5),
+            normalization=Normalization("power", 0.5),
             limit_kind=LimitKind.NORMAL,
             variance=rate * rate / (1.0 - 2.0 * rate) * pi2,
             initial_value=initial,
@@ -430,7 +383,7 @@ def _generalized_row(
     return LawPrediction(
         label=label,
         vector=vector,
-        normalization=Normalization.power_log(rate),
+        normalization=Normalization("power_log", rate),
         limit_kind=LimitKind.AS_RANDOM_VARIABLE,
         initial_value=initial,
         positive_limit=co.positive_limit,
@@ -449,7 +402,7 @@ def _identity_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
                 LawPrediction(
                     label=label,
                     vector=vector,
-                    normalization=Normalization.mass(),
+                    normalization=Normalization("mass"),
                     limit_kind=LimitKind.EXACTLY_CONSTANT_TRACK,
                     initial_value=0.0,
                     martingale_eigenvalue=1.0,
@@ -463,7 +416,7 @@ def _identity_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
             LawPrediction(
                 label=label,
                 vector=vector,
-                normalization=Normalization.mass(),
+                normalization=Normalization("mass"),
                 limit_kind=LimitKind.AS_RANDOM_VARIABLE,
                 initial_value=share,
                 positive_limit=True,
@@ -484,7 +437,10 @@ def _minor_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
 def _sub_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
     return [
         _positive_row(klass, "sub_total", "the non-dominant block's mass"),
-        _sub_fluct_row(klass),
+        _block_row(
+            klass, "sub_fluct", klass.lam, klass.stationary_sub,
+            klass.eigvec_lam, klass.scale,
+        ),
     ]
 
 
@@ -493,16 +449,14 @@ def _sub_rows(klass: StructureClass, earlier: list) -> list[LawPrediction]:
 _PARTS = {
     Family.IDENTITY: (_identity_rows,),
     Family.TWO_IRREDUCIBLE: (
-        lambda k, earlier: [
-            _fluct_row(k, "fluct", k.lam, k.stationary_whole, k.eigvec_lam)
-        ],
+        lambda k, _: [_block_row(k, "fluct", k.lam, k.stationary_whole, k.eigvec_lam)],
     ),
     Family.TWO_TRIANGULAR: (_minor_rows,),
     Family.THREE_ONE_DOMINANT: (_sub_rows,),
     Family.THREE_TWO_DOMINANT_DIAG: (
         _minor_rows,
-        lambda k, earlier: [
-            _fluct_row(k, "dom_fluct", k.lam, k.stationary_dom, k.eigvec_lam)
+        lambda k, _: [
+            _block_row(k, "dom_fluct", k.lam, k.stationary_dom, k.eigvec_lam)
         ],
     ),
     Family.THREE_TWO_DOMINANT_JORDAN: (
@@ -516,8 +470,8 @@ _PARTS = {
     ),
     Family.FOUR_BLOCK_DIAG: (
         _sub_rows,
-        lambda k, earlier: [
-            _fluct_row(k, "dom_fluct", k.beta, k.stationary_dom, k.eigvec_beta)
+        lambda k, _: [
+            _block_row(k, "dom_fluct", k.beta, k.stationary_dom, k.eigvec_beta)
         ],
     ),
     Family.FOUR_BLOCK_JORDAN: (

@@ -317,6 +317,18 @@ def test_checkpoint_list_must_reach_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_horizon_and_checkpoints_beyond_int64_exit_three(tmp_path, capsys):
+    cfg = dict(TWO, horizon=2**64, checkpoints=[0, 2**64])
+    assert run(tmp_path, "predict", cfg) == 3
+    assert capsys.readouterr().err == (
+        "config error: config.checkpoints: checkpoints[1] does not fit in int64: "
+        "18446744073709551616\n"
+    )
+    cfg = dict(TWO, horizon=2**64, ensemble=100, max_draws=2**80)
+    assert run(tmp_path, "simulate", cfg) == 3
+    assert "horizon must be below 2**63" in capsys.readouterr().err
+
+
 def test_checkpoints_checked_after_overrides(tmp_path, capsys):
     cfg = dict(TWO, horizon=1000, checkpoints=[0, 100, 1500])
     assert run(tmp_path, "verify", cfg, horizon=1500) == 0

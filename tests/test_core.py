@@ -533,6 +533,23 @@ def test_custom_checkpoints_validated():
     )
 
 
+def test_checkpoints_and_horizons_beyond_int64_are_refused():
+    # The checkpoint grid is an int64 array: values beyond it are refused by
+    # name before any draw.
+    spec = new_spec(*TWO)
+    with pytest.raises(
+        ValueError, match=r"checkpoints\[1\] does not fit in int64: 9223372036854775808"
+    ):
+        simulate_many(spec, 10, 1, 2, checkpoints=[0, 2**63])
+    with pytest.raises(ValueError, match=r"checkpoints\[0\] does not fit in int64"):
+        simulate_many(spec, 10, 1, 2, checkpoints=[-(2**63) - 1, 10])
+    for horizon in (2**63, 2**64):
+        with pytest.raises(ValueError, match=r"horizon must be below 2\*\*63"):
+            default_checkpoints(horizon)
+        with pytest.raises(ValueError, match=r"horizon must be below 2\*\*63"):
+            simulate_many(spec, horizon, 1, 2)
+
+
 def test_duplicate_streams_rejected():
     spec = new_spec(*TWO)
     with pytest.raises(ValueError, match="stream 3 is listed more than once"):

@@ -41,6 +41,21 @@ def test_pi_n_frozen_values():
         euler_ratio(-1.0, 5)
 
 
+def test_pi_n_refuses_a_fractional_n_and_a_nan_eigenvalue():
+    for bad in (3.5, True):
+        with pytest.raises(ValueError, match=f"n is not an integer: {bad!r}"):
+            pi_n(0.5, bad)
+        with pytest.raises(ValueError, match=f"n is not an integer: {bad!r}"):
+            euler_ratio(0.5, bad)
+    # Integral floats and numpy integers count as integers.
+    assert pi_n(0.5, 3.0) == pi_n(0.5, np.int64(3)) == pi_n(0.5, 3)
+    assert euler_ratio(0.5, 3.0) == euler_ratio(0.5, 3)
+    with pytest.raises(ValueError, match="eigenvalue >= -1, got nan"):
+        pi_n(math.nan, 4)
+    with pytest.raises(ValueError, match="eigenvalue > -1, got nan"):
+        euler_ratio(math.nan, 4)
+
+
 @given(a=st.floats(-0.99, 3.0), n=st.integers(1, 999))
 def test_pi_n_satisfies_its_recurrence_bitwise(a, n):
     # within the exact-product range the recurrence holds with no rounding slack
@@ -63,20 +78,30 @@ def test_euler_ratio_approaches_one():
 
 def test_normalization_values_and_labels():
     n = 10**4
-    assert Normalization.mass().at(n) == n + 1
-    assert Normalization.power(0.5).at(n) == pytest.approx(100.0)
-    assert Normalization.sqrt_n_log_n().at(n) == pytest.approx(
+    assert Normalization("mass").at(n) == n + 1
+    assert Normalization("power", 0.5).at(n) == pytest.approx(100.0)
+    assert Normalization("sqrt_n_log_n").at(n) == pytest.approx(
         math.sqrt(n * math.log(n))
     )
-    assert Normalization.power_sqrt_log(0.5).at(n) == pytest.approx(
+    assert Normalization("power_sqrt_log", 0.5).at(n) == pytest.approx(
         math.sqrt(100.0 * math.log(n))
     )
-    assert Normalization.power_log(0.5).at(n) == pytest.approx(100.0 * math.log(n))
-    assert str(Normalization.mass()) == "n+1"
-    assert str(Normalization.power(0.5)) == "n^0.5"
+    assert Normalization("power_log", 0.5).at(n) == pytest.approx(100.0 * math.log(n))
+    assert str(Normalization("mass")) == "n+1"
+    assert str(Normalization("power", 0.5)) == "n^0.5"
     # undefined points come back as nan, vectorized
-    vals = Normalization.power_log(0.5).at(np.array([0, 1, 4]))
+    vals = Normalization("power_log", 0.5).at(np.array([0, 1, 4]))
     assert np.isnan(vals[:2]).all() and np.isfinite(vals[2])
+
+
+def test_every_kind_evaluates_an_array_of_any_shape():
+    n = np.array([[0, 1], [4, 10]])
+    for kind in ("mass", "power", "sqrt_n_log_n", "power_sqrt_log", "power_log",
+                 "exact_product"):
+        norm = Normalization(kind, 0.5)
+        vals = norm.at(n)
+        assert vals.shape == (2, 2), kind
+        assert vals[1, 1] == norm.at(10) and vals[1, 0] == norm.at(4), kind
 
 
 def test_unknown_normalization_kind_is_refused_when_built():
@@ -95,7 +120,7 @@ def test_unknown_normalization_kind_is_refused_when_built():
 def test_exponent_free_kinds_ignore_a_given_exponent(kind):
     # Both kinds ignore an exponent, so one given must not tell two equal
     # sequences apart.
-    plain = getattr(Normalization, kind)()
+    plain = Normalization(kind)
     for exponent in (0.5, math.nan, "x"):
         given_one = Normalization(kind, exponent)
         assert given_one == plain and hash(given_one) == hash(plain)

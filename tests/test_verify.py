@@ -133,6 +133,15 @@ def test_run_ensemble_rejects_bad_checkpoint_grids():
             run_ensemble(TWO, predict(k), horizon=1000, ensemble=100, checkpoints=bad)
 
 
+def test_run_ensemble_refuses_a_horizon_beyond_int64():
+    k = classify(TWO)
+    with pytest.raises(ValueError, match=r"horizon must be below 2\*\*63"):
+        run_ensemble(TWO, predict(k), horizon=2**64, ensemble=100, max_draws=2**80)
+    with pytest.raises(ValueError, match=r"checkpoints\[1\] does not fit in int64"):
+        run_ensemble(TWO, predict(k), horizon=2**64, ensemble=100, max_draws=2**80,
+                     checkpoints=[0, 2**64])
+
+
 def test_run_ensemble_selection_by_label():
     k = classify(TWO)
     rep = run_ensemble(TWO, predict(k), predictions=["fluct"], horizon=1000, ensemble=100,
@@ -208,7 +217,7 @@ _GRID = np.array([0, 10, 100, 1_000, 10_000])
 _PERIODIC = "dominant block is periodic; this normal claim is unverified"
 
 
-def _outcome(kind, normalization=Normalization.power(0.5), row=None, **fields):
+def _outcome(kind, normalization=Normalization("power", 0.5), row=None, **fields):
     prediction = LawPrediction(
         label="x", vector=np.ones(2), normalization=normalization,
         limit_kind=kind, **(row or {}),
@@ -233,14 +242,14 @@ _NONDEG = ("non-degenerate", True, "terminal variance 1 vs 4e-06")
 _SETTLED = ("tail-settle", True, "median fluct 0.1 vs 0.3162")
 _VERDICT_CASES = {
     "mass-law": (
-        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization.mass(),
+        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization("mass"),
                  row=dict(limit_mean=1.0), constant_deviation=2e-10,
                  sample_mean=1.0, expected_mean=1.0),
         [("mass-law", True, "max |normalized - 1| = 2e-10"),
          ("mean", True, "|1 - 1| = 0 vs 1e-09")],
     ),
     "mass-law-fail": (
-        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization.mass(),
+        _outcome(LimitKind.DETERMINISTIC_CONSTANT, Normalization("mass"),
                  row=dict(limit_mean=1.0), constant_deviation=1e-8),
         [("mass-law", False, "max |normalized - 1| = 1e-08")],
     ),
@@ -276,7 +285,7 @@ _VERDICT_CASES = {
         [("ks-mixture", True, "D = 0.1000 vs 0.2529 (m = 396, p = 0.5, dropped 4)")],
     ),
     "tail-power-log": (
-        _settled(normalization=Normalization.power_log(1.0),
+        _settled(normalization=Normalization("power_log", 1.0),
                  row=dict(positive_limit=True), median_tail_fluctuation=9.0,
                  all_positive=False),
         [("tail-settle", True, "skipped: logarithmic normalization settles too "
