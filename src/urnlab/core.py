@@ -20,37 +20,95 @@ and is the scalar reference.  simulate_many derives all M keys in one
 vectorised pass (_stream_keys, SeedSequence's mixing in uint32 array
 arithmetic).  The first pass hands each of its keys straight to Philox:
 about 11 us a stream on a 2-vCPU Xeon VM, against about 35 us through
-SeedSequence.  Every later pass re-keys those generators to its own
-streams, at about 1.4 us a stream.
+SeedSequence.  Re-keying one of them for a later pass (below) costs about
+1.4 us a stream.
 
 Draw rule: with u the trajectory's next uniform variate in [0, 1) and cum the
 running prefix sums of the counts in colour order, colour i is drawn iff
-cum[i-1] <= u * cum[K-1] < cum[i].  The batched kernel in simulate_many holds
-its state colour-major, one column per trajectory, and takes one of two
-steps, chosen once per call.  The general step holds the counts and cum in
-one (2K-1, M) array, where colour 0's count is cum[0], and forms
-cum[1..K-1] by K-1 vector adds in colour order, so every rounding step
-matches np.cumsum(counts); the drawn colours become a one-hot (K, M)
-matrix, and one matrix product with the transposed replacement matrix
-yields the drawn rows.  Eight numpy calls a step at K=4, six at K=2.  The
-exact step serves dyadic models, whose entries are multiples of some 2**-p
-and whose rows add the same exact mass (two of the three shipped configs):
-while every sum stays below 2**53 * 2**-p no add rounds, so it carries
-cum[0..K-2] itself as a (K-1, M) array and the total, the same double in
-every trajectory, as one float.  It compares only the prefix sums where
-the replacement row changes and adds row c of cumsum(R) in four calls a
-step.  Both give the same bits.
+cum[i-1] <= u * cum[K-1] < cum[i], and its replacement row is added.  The
+batched kernel in simulate_many holds its state colour-major, one column per
+trajectory, and takes one of two steps, decided once per call by
+_exact_prefix_sums(spec, horizon); no argument selects it.  Both give the
+same bits.
 
-An ensemble runs in passes of at most PASS_STREAMS trajectories, each over
-the whole horizon.  The first pass builds its W generators and every later
-pass re-keys them to its own streams, so the generators held do not grow
-with the ensemble and no more than W are built.  Uniform variates are
-generated per trajectory in blocks of _block_steps steps, at most
-UNIFORM_BLOCK_BYTES (4 MB) over a pass, a size the step loop reads back
-from cache; each trajectory's refill is one call of its generator's random
-into its row of the block.  No bound changes a result: a trajectory's state
-is its stream key and its counts, and passes only split the ensemble's
-rows.
+The general step holds the counts and cum in one (2K-1, M) array: the
+counts of colours 1..K-1, colour 0's count, then cum[1..K-1].  Colour 0's
+count is cum[0] with no copy, and K-1 vector adds in colour order form the
+rest, the same adds as np.cumsum, so every rounding step matches
+np.cumsum(counts).  Five calls follow, eight in all at K=4 and six at K=2:
+the product u * cum[K-1]; the comparison cum[:K-1] <= u * cum[K-1] fills
+rows 1..K-1 of a bool (K+1, M) buffer whose row 0 is True and row K False;
+adjacent rows that differ give a float one-hot (K, M) matrix;
+R.T @ one_hot is the drawn rows, with R.T's rows in the array's colour
+order; one add.  This returns exactly the row the count of Trues selects:
+
+- counts are >= 0, so the float prefix sums never decrease and every
+  buffer column reads True...True False...False;
+- so the one-hot column has a single 1, at the colour the draw rule
+  chooses (the number of prefix sums <= u * cum[K-1]);
+- every product in the matrix product is R * 0 = +0.0 or R * 1 = R, so
+  the sum is R in any summation order, with or without fused
+  multiply-add;
+- the one value this could change is the sign of a zero (-0.0 + +0.0 is
+  +0.0), and new_spec stores no -0.0.
+
+The exact step serves dyadic models (two of the three shipped configs).
+It runs when every entry of R and C_0 is a non-negative multiple of
+2**-p, (horizon + 1) * 2**p * K < 2**53 (for a new_spec model;
+_exact_prefix_sums gives the general bound) and every row of
+cumsum(R, axis=1) ends in the same double r.  The total after n steps is
+then S_0 + n * r in every trajectory, one float advanced by total += r
+each step.  The step holds cum[0..K-2] itself as (K-1, M), its rows in an
+order fixed once per pass, and is four calls:
+
+- scaled = u * total, the same product of the same values as the
+  general step's u * cum[K-1];
+- the compared rows, cum[j-1] for each boundary j >= 1 with R[j] !=
+  R[j-1], held first and contiguous, <= scaled into rows 1.. of a float
+  mask e whose row 0 is 1.0, so column m reads 1 for each boundary at
+  or below c, the drawn colour;
+- add = D @ e, with D the nonzero columns of diff(cumsum(R, axis=1),
+  axis=0, prepend=0).T (column 0 and the boundaries), less its total
+  row: column j of the full matrix is row j of cumsum(R) less row j-1,
+  zero when R[j] == R[j-1], so the sum telescopes to row c of
+  cumsum(R);
+- cum[0..K-2] += add.
+
+Only boundaries matter: cum never decreases, so cum[j-1] <= scaled iff
+c >= j, and colours in one run of equal rows add the same row.  A
+dropped column of D is zero, and its term in the full product would
+add only +0.0.  Every count, every prefix sum and every partial sum of
+D @ e is a multiple of 2**-p below 2**53 * 2**-p, which a double holds
+exactly: no add rounds, in any BLAS order, with or without fused
+multiply-add.  No -0.0 arises: exact sums that cancel give +0.0, a sum
+is -0.0 only if all its terms are, and the term cumsum(R)[0, j] * 1
+never is.  So cum equals the np.cumsum of the general step's counts,
+bit for bit, the comparison sees the same operands, and the same colour
+is drawn, or one with the same row.  At checkpoints the full cum is
+rebuilt in colour order, total as its last row, and the counts are
+cum[0] and the differences of adjacent rows, exact too, so states,
+tracks and max_mass_drift are those of the general step, and the
+mass-law check reads the same sums.
+
+An ensemble of M streams runs in the fewest passes of at most
+PASS_STREAMS trajectories, all W wide but the last, each over the whole
+horizon.  The first pass builds its W generators through trajectory_rng;
+each later pass re-keys the first of them to its own streams, giving each
+the state of a generator just built with only the key replaced (_rekey),
+so it draws what a newly built one would.  So the generators held do not
+grow with the ensemble and no more than W are built.  A pass checks the
+mass law and writes its rows of states at every checkpoint.  Uniform
+variates are generated per trajectory in blocks of _block_steps(W,
+horizon) steps, min(horizon, UNIFORM_BLOCK_BYTES // (8 W)) but at least
+one and never a multiple of 256, in one block allocated for the widest
+pass: 4 MB, or 250 steps at W = 2000, a size the step loop reads back from
+cache.  Each refill is one call of every generator's random(out=row) into
+its row of the block, so each stream takes ceil(horizon / block) calls.
+Besides the (M, C, K) states and (M, C, P) tracks, memory is then the
+uniforms block plus one pass of generators.  Tracks are formed after the
+last pass, with the block released.  No bound
+changes a result: a trajectory's state is its stream key and its counts,
+and passes only split the ensemble's rows.
 """
 from __future__ import annotations
 
@@ -460,7 +518,7 @@ def _simulate_pass(spec, gens, u, horizon, cp_index, states, exact) -> float:
     mass law, and the largest drift is returned.  exact selects the exact
     step, which carries cum[0..K-2] in place of the counts and the total as
     one float; the general step holds the counts and the prefix sums in one
-    array (see simulate_many).
+    array (see the module docstring).
     """
     k, m = spec.colors, len(gens)
     worst = np.float64(0.0)
@@ -594,90 +652,18 @@ def simulate_many(
     3.0 count as integers, bools and fractions raise ValueError, before any
     array is allocated.  horizon and every checkpoint are checked the same
     way; horizon must lie in [1, 2**63) and a checkpoint fit in int64.
-    Trajectory m draws from trajectory_rng(seed, streams[m], key=...), with
-    all M keys from one _stream_keys pass.
+    Repeated stream ids, an empty stream list and track vectors whose
+    length is not K raise ValueError too.  Trajectory m draws from
+    trajectory_rng(seed, streams[m], key=...), with all M keys from one
+    _stream_keys pass, by the module's draw rule, in the passes and uniforms
+    blocks set out there.
 
-    Every step draws one colour per trajectory by the module's draw rule,
-    colour i iff cum[i-1] <= u * cum[K-1] < cum[i], and adds that colour's
-    replacement row.  Which step runs is decided once, by
-    _exact_prefix_sums(spec, horizon); no argument selects it.
-
-    The general step holds the counts and cum colour-major in one
-    (2K-1, M) array: the counts of colours 1..K-1, colour 0's count, then
-    cum[1..K-1].  Colour 0's count is cum[0] with no copy, and K-1 vector
-    adds in colour order form the rest, the same adds as np.cumsum.  Five
-    calls follow, eight in all at K=4 and six at K=2: the product
-    u * cum[K-1]; the comparison cum[:K-1] <= u * cum[K-1] fills rows
-    1..K-1 of a bool (K+1, M) buffer whose row 0 is True and row K False;
-    adjacent rows that differ give a float one-hot (K, M) matrix;
-    R.T @ one_hot is the drawn rows, with R.T's rows in the array's colour
-    order; one add.
-    This returns exactly the row the count of Trues selects:
-
-    - counts are >= 0, so the float prefix sums never decrease and every
-      buffer column reads True...True False...False;
-    - so the one-hot column has a single 1, at the colour the draw rule
-      chooses (the number of prefix sums <= u * cum[K-1]);
-    - every product in the matrix product is R * 0 = +0.0 or R * 1 = R, so
-      the sum is R in any summation order, with or without fused
-      multiply-add;
-    - the one value this could change is the sign of a zero (-0.0 + +0.0 is
-      +0.0), and new_spec stores no -0.0.
-
-    The exact step runs when every entry of R and C_0 is a non-negative
-    multiple of 2**-p, (horizon + 1) * 2**p * K < 2**53 (for a new_spec
-    model; _exact_prefix_sums gives the general bound) and every row of
-    cumsum(R, axis=1) ends in the same double r.  The total after n steps is
-    then S_0 + n * r in every trajectory, one float advanced by total += r
-    each step.  The step holds cum[0..K-2] as (K-1, M), its rows in an
-    order fixed once per pass, and is four calls:
-
-    - scaled = u * total, the same product of the same values as the
-      general step's u * cum[K-1];
-    - the compared rows, cum[j-1] for each boundary j >= 1 with R[j] !=
-      R[j-1], held first and contiguous, <= scaled into rows 1.. of a float
-      mask e whose row 0 is 1.0, so column m reads 1 for each boundary at
-      or below c, the drawn colour;
-    - add = D @ e, with D the nonzero columns of diff(cumsum(R, axis=1),
-      axis=0, prepend=0).T (column 0 and the boundaries), less its total
-      row: column j of the full matrix is row j of cumsum(R) less row j-1,
-      zero when R[j] == R[j-1], so the sum telescopes to row c of
-      cumsum(R);
-    - cum[0..K-2] += add.
-
-    Only boundaries matter: cum never decreases, so cum[j-1] <= scaled iff
-    c >= j, and colours in one run of equal rows add the same row.  A
-    dropped column of D is zero, and its term in the full product would
-    add only +0.0.  Every count, every prefix sum and every partial sum of
-    D @ e is a multiple of 2**-p below 2**53 * 2**-p, which a double holds
-    exactly: no add rounds, in any BLAS order, with or without fused
-    multiply-add.  No -0.0 arises: exact sums that cancel give +0.0, a sum
-    is -0.0 only if all its terms are, and the term cumsum(R)[0, j] * 1
-    never is.  So cum equals the np.cumsum of the general step's counts,
-    bit for bit, the comparison sees the same operands, and the same colour
-    is drawn, or one with the same row.  At checkpoints the full cum is
-    rebuilt in colour order, total as its last row, and the counts are
-    cum[0] and the differences of adjacent rows, exact too, so states,
-    tracks and max_mass_drift are those of the general step, and the
-    mass-law check reads the same sums.
-
-    The M streams run in the fewest passes of at most PASS_STREAMS, all W
-    wide but the last.  The first pass builds its W generators through
-    trajectory_rng; each later pass re-keys the first of them to its own
-    streams, giving each the state of a generator just built with only the
-    key replaced (_rekey), so it draws what a newly built one would.  A
-    pass runs the whole horizon, checks the mass law and writes its rows of
-    states at every checkpoint.  Uniforms come in blocks of
-    _block_steps(W, horizon) steps, min(horizon, UNIFORM_BLOCK_BYTES // (8 W))
-    but at least one and never a multiple of 256, in one block allocated for
-    the widest pass: 4 MB, or 250 steps at W = 2000.  Each refill calls
-    every generator's random(out=row) once, so each stream takes
-    ceil(horizon / block) calls.  Besides the (M, C, K) states and
-    (M, C, P) tracks, memory is then the uniforms block plus one pass of
-    generators.  Tracks are formed after the last pass, over the whole
-    ensemble, with the block released.  max_mass_drift is the largest drift
-    the passes' mass-law checks found.  The two bounds only control memory
-    and never change a value.
+    Returns EnsemblePaths: the seed, stream ids and checkpoint grid, the
+    states (M, C, K) and tracks (M, C, P), state @ vector for each of the P
+    track_vectors, at the C checkpoints, and max_mass_drift, the largest
+    drift the passes' mass-law checks found.
+    A drift above MASS_DRIFT_PER_TRIAL * max(n, 1) at checkpoint n raises
+    RuntimeError.
     """
     horizon = _checked_horizon(horizon)
     seed = _checked_seed(seed)

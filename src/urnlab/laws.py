@@ -50,8 +50,10 @@ __all__ = [
 
 # Below this length the product is accumulated term by term, which keeps the
 # one-step recurrence pi_{n+1} = pi_n * (1 + a/(n+1)) bit-exact; longer
-# products go through a log1p sum to avoid drift.
+# products go through a log1p sum to avoid drift, taken in blocks of
+# _LOG_BLOCK terms so memory stays bounded; up to one block it is one sum.
 _PRODUCT_LIMIT = 1000
+_LOG_BLOCK = 2**20
 
 
 def pi_n(a: float, n: int) -> float:
@@ -75,8 +77,13 @@ def pi_n(a: float, n: int) -> float:
         for j in range(n):
             out *= 1.0 + a / (j + 1.0)
         return out
-    j = np.arange(n, dtype=float)
-    return float(np.exp(np.log1p(a / (j + 1.0)).sum()))
+    total = 0.0
+    for start in range(0, n, _LOG_BLOCK):
+        terms = np.arange(start, min(n, start + _LOG_BLOCK), dtype=float)
+        terms += 1.0
+        np.divide(a, terms, out=terms)
+        total += np.log1p(terms, out=terms).sum()
+    return float(np.exp(total))
 
 
 def euler_ratio(a: float, n: int) -> float:

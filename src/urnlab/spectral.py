@@ -6,6 +6,13 @@ Classification fills in the data the scaling laws need: block scale and
 eigenvalues, normalized eigenvectors, stationary distributions of the 2x2
 blocks, and a Jordan basis when the matrix is not diagonalizable.
 
+Besides the identity (2 to 4 colors) and the irreducible two-color matrix,
+every family is one block-triangular shape, matched by one function,
+_match_block: a non-dominant part, a minor color or a 2x2 sub-block, feeds
+a dominant part, an absorbing color or a 2x2 dominant block, and gets
+nothing back.  The four pairings are the two-triangular, three-one-dominant,
+three-two-dominant and four-block families.
+
 All 2x2 spectra are in closed form, taken in one place, _chain: for a
 stochastic block [[1-a, a], [b, 1-b]] the non-principal eigenvalue is 1-a-b,
 its right eigenvector is proportional to (a, -b), and the stationary
@@ -25,6 +32,7 @@ this module, not a property of the input.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -257,21 +265,20 @@ def _dominant_block(block: np.ndarray) -> tuple[tuple, list[str]]:
     return chain, warnings
 
 
-def _require_minor_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
-    if spec.initial[perm[0]] <= 0.0:
+def _require_mass(spec: ReplacementSpec, perm: tuple[int, ...], m: int) -> None:
+    """Refuse a start with no mass on the m non-dominant colors."""
+    if sum(spec.initial[j] for j in perm[:m]) > 0.0:
+        return
+    if m == 1:
         raise ValueError(
             f"initial composition puts no mass on the minor color "
             f"(original color {perm[0]}); its scaled track is degenerate"
         )
-
-
-def _require_sub_mass(spec: ReplacementSpec, perm: tuple[int, ...]) -> None:
-    if spec.initial[perm[0]] + spec.initial[perm[1]] <= 0.0:
-        raise ValueError(
-            "initial composition puts no mass on the non-dominant colors "
-            f"(original colors {perm[0]} and {perm[1]}); "
-            "their scaled tracks are degenerate"
-        )
+    raise ValueError(
+        "initial composition puts no mass on the non-dominant colors "
+        f"(original colors {perm[0]} and {perm[1]}); "
+        "their scaled tracks are degenerate"
+    )
 
 
 def _match_two_irreducible(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
@@ -295,64 +302,13 @@ def _match_two_irreducible(spec: ReplacementSpec, perm: tuple[int, ...]) -> Stru
     )
 
 
-def _match_two_triangular(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    if rp[1, 0] > ZERO_TOL:
-        raise _NoMatch()
-    s = _minor_scale(rp)
-    _require_minor_mass(spec, perm)
-    return StructureClass(
-        family=Family.TWO_TRIANGULAR,
-        spec=spec,
-        permutation=perm,
-        scale=s,
-        vectors=(
-            ("mass", np.ones(2), 1.0),
-            ("minor", _to_original([1.0, 0.0], perm, 2), s),
-        ),
-    )
-
-
-def _match_one_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    if rp[2, 0] > ZERO_TOL or rp[2, 1] > ZERO_TOL:
-        raise _NoMatch()
-    s, (_, lam, xi, pi_q) = _sub_block(rp)
-    _require_sub_mass(spec, perm)
-    return StructureClass(
-        family=Family.THREE_ONE_DOMINANT,
-        spec=spec,
-        permutation=perm,
-        scale=s,
-        lam=lam,
-        stationary_sub=pi_q,
-        eigvec_lam=xi,
-        vectors=(
-            ("mass", np.ones(3), 1.0),
-            ("sub_total", _to_original([1.0, 1.0, 0.0], perm, 3), s),
-            ("sub_fluct", _to_original([xi[0], xi[1], 0.0], perm, 3), s * lam),
-        ),
-    )
-
-
-def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    if rp[1, 0] > ZERO_TOL or rp[2, 0] > ZERO_TOL:
-        raise _NoMatch()
-    s = _minor_scale(rp)
-    (_, lam, xi, pi_p), warnings = _dominant_block(rp[1:, 1:])
-    _require_minor_mass(spec, perm)
+def _minor_dom_fluct(rp, perm, s, sub, rows, dom, warnings):
+    """dom_fluct of a minor color feeding a 2x2 dominant block (three
+    colors), with the dominant block's chain as lam, eigvec_lam and
+    stationary_dom: (family, row, fields)."""
+    _, lam, xi, pi_p = dom
+    fields = dict(lam=lam, stationary_dom=pi_p, eigvec_lam=xi)
     coupling = rp[0, 1:] / (1.0 - s)
-    minor = _to_original([1.0, 0.0, 0.0], perm, 3)
-    common = dict(
-        spec=spec,
-        permutation=perm,
-        scale=s,
-        lam=lam,
-        stationary_dom=pi_p,
-        eigvec_lam=xi,
-    )
-    base_rows = (("mass", np.ones(3), 1.0), ("minor", minor, s))
     pxi = float(coupling @ xi)
     if abs(lam - s) > REPEAT_TOL:
         c = (1.0 - s) * pxi / (lam - s)
@@ -361,18 +317,15 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
         # generalized vector's scale so that R t2 = t1 + s t2 holds exactly.
         xi_pinned = xi / ((1.0 - s) * pxi)
         t = np.column_stack([
-            minor,
+            rows[0][1],
             _to_original([0.0, xi_pinned[0], xi_pinned[1]], perm, 3),
             np.ones(3),
         ])
-        return StructureClass(
-            family=Family.THREE_TWO_DOMINANT_JORDAN,
-            warnings=tuple(warnings),
+        fields.update(
             jordan_basis_matrix=t,
             jordan_form=np.array([[s, 1.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]),
-            vectors=base_rows + (("dom_fluct", t[:, 1].copy(), None),),
-            **common,
         )
+        return Family.THREE_TWO_DOMINANT_JORDAN, ("dom_fluct", t[:, 1].copy(), None), fields
     else:
         # Repeated eigenvalue with a full eigenspace: the coupling row is
         # orthogonal to xi, which forces it to equal the stationary
@@ -383,47 +336,23 @@ def _match_two_dominant(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structu
                 "differs from the stationary distribution; numerical edge"
             )
         c = 0.0
-    return StructureClass(
-        family=Family.THREE_TWO_DOMINANT_DIAG,
-        warnings=tuple(warnings),
-        vectors=base_rows + (
-            ("dom_fluct", _to_original([c, xi[0], xi[1]], perm, 3), lam),
-        ),
-        **common,
-    )
+    row = ("dom_fluct", _to_original([c, xi[0], xi[1]], perm, 3), lam)
+    return Family.THREE_TWO_DOMINANT_DIAG, row, fields
 
 
-def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> StructureClass:
-    rp = _permute(spec.matrix, perm)
-    if float(np.abs(rp[2:, :2]).max()) > ZERO_TOL:
-        raise _NoMatch()
-    s, (q, lam, xi, pi_q) = _sub_block(rp)
-    (_, beta, nu_hat, pi_p), warnings = _dominant_block(rp[2:, 2:])
-    _require_sub_mass(spec, perm)
-    v1 = _to_original([1.0, 1.0, 0.0, 0.0], perm, 4)
-    v2 = _to_original([xi[0], xi[1], 0.0, 0.0], perm, 4)
+def _sub_dom_fluct(rp, perm, s, sub, rows, dom, warnings):
+    """dom_fluct of a 2x2 sub-block feeding a 2x2 dominant block (four
+    colors), with the dominant block's chain as beta, eigvec_beta and
+    stationary_dom: (family, row, fields)."""
+    q, lam, xi, pi_q = sub
+    _, beta, nu_hat, pi_p = dom
+    (_, v1, _), (_, v2, _) = rows
+    fields = dict(beta=beta, stationary_dom=pi_p, eigvec_beta=nu_hat)
     # Resolve the coupling image of the dominant eigenvector in the basis
     # {ones, xi} of the sub-block plane: E nu_hat = a * ones + b * xi.
     e_nu = rp[:2, 2:] @ nu_hat
     a_coef = float(pi_q @ e_nu)
     b_coef = float((e_nu[0] - e_nu[1]) / (xi[0] - xi[1]))
-    common = dict(
-        spec=spec,
-        permutation=perm,
-        scale=s,
-        lam=lam,
-        beta=beta,
-        stationary_sub=pi_q,
-        stationary_dom=pi_p,
-        eigvec_lam=xi,
-        eigvec_beta=nu_hat,
-        warnings=tuple(warnings),
-    )
-    base_rows = (
-        ("mass", np.ones(4), 1.0),
-        ("sub_total", v1, s),
-        ("sub_fluct", v2, s * lam),
-    )
     # A Jordan column's residual reaches the eigenvalue gap plus the distance
     # of the sub-block row masses from s, so the two share one REPEAT_TOL.
     slack = float(np.abs(rp[:2, :2].sum(axis=1) - s).max())
@@ -431,11 +360,7 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
     if not repeated_s and abs(beta - s * lam) + slack > REPEAT_TOL:
         u = np.linalg.solve(beta * np.eye(2) - s * q, e_nu)
         v3 = _to_original([u[0], u[1], nu_hat[0], nu_hat[1]], perm, 4)
-        return StructureClass(
-            family=Family.FOUR_BLOCK_DIAG,
-            vectors=base_rows + (("dom_fluct", v3, beta),),
-            **common,
-        )
+        return Family.FOUR_BLOCK_DIAG, ("dom_fluct", v3, beta), fields
     if repeated_s:
         # Generalized vector above the sub-total eigenvector: solve
         # s(Q - I)u = -(b/a) xi, so u is a multiple of xi.
@@ -456,21 +381,66 @@ def _match_four_block(spec: ReplacementSpec, perm: tuple[int, ...]) -> Structure
     nu = nu_hat / pivot
     u = (other / pivot) / (s * (1.0 - lam)) * u_dir
     t3 = _to_original([u[0], u[1], nu[0], nu[1]], perm, 4)
-    t = np.column_stack([t_cols[0], t_cols[1], t3, np.ones(4)])
-    j = np.array(
-        [
-            [alpha, 0.0, 0.0, 0.0],
-            [0.0, beta, 1.0, 0.0],
-            [0.0, 0.0, beta, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    fields.update(
+        jordan_basis_matrix=np.column_stack([t_cols[0], t_cols[1], t3, np.ones(4)]),
+        jordan_form=np.array(
+            [
+                [alpha, 0.0, 0.0, 0.0],
+                [0.0, beta, 1.0, 0.0],
+                [0.0, 0.0, beta, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        ),
     )
+    return Family.FOUR_BLOCK_JORDAN, ("dom_fluct", t3, None), fields
+
+
+def _match_block(spec: ReplacementSpec, perm: tuple[int, ...], m: int) -> StructureClass:
+    """Match {minor color, 2x2 sub-block} x {absorbing color, 2x2 dominant
+    block}: the first m canonical colors, a minor color (m = 1) or a 2x2
+    sub-block (m = 2), feed the other K - m, one absorbing color or a 2x2
+    dominant block, and get nothing back.
+
+    Within a relabeling the checks run in one order: no inflow into the
+    non-dominant part, the non-dominant part (_minor_scale or _sub_block),
+    the dominant block (_dominant_block), then mass on the non-dominant
+    colors at the start.  The non-dominant part gives the rows minor, or
+    sub_total and sub_fluct; an absorbing color adds no row, and a dominant
+    block adds dom_fluct, solved by one function per m.
+    """
+    k = spec.colors
+    rp = _permute(spec.matrix, perm)
+    if float(np.abs(rp[m:, :m]).max()) > ZERO_TOL:
+        raise _NoMatch()
+    pad = [0.0] * (k - m)
+    if m == 1:
+        s, sub, fields = _minor_scale(rp), None, {}
+        rows = [("minor", _to_original([1.0] + pad, perm, k), s)]
+    else:
+        s, sub = _sub_block(rp)
+        _, lam, xi, pi_q = sub
+        fields = dict(lam=lam, stationary_sub=pi_q, eigvec_lam=xi)
+        rows = [
+            ("sub_total", _to_original([1.0, 1.0] + pad, perm, k), s),
+            ("sub_fluct", _to_original([xi[0], xi[1]] + pad, perm, k), s * lam),
+        ]
+    dom, warnings = _dominant_block(rp[m:, m:]) if k - m == 2 else (None, [])
+    _require_mass(spec, perm, m)
+    if dom is None:
+        family = (Family.TWO_TRIANGULAR, Family.THREE_ONE_DOMINANT)[m - 1]
+    else:
+        solver = _minor_dom_fluct if m == 1 else _sub_dom_fluct
+        family, row, more = solver(rp, perm, s, sub, rows, dom, warnings)
+        rows.append(row)
+        fields.update(more)
     return StructureClass(
-        family=Family.FOUR_BLOCK_JORDAN,
-        jordan_basis_matrix=t,
-        jordan_form=j,
-        vectors=base_rows + (("dom_fluct", t3, None),),
-        **common,
+        family=family,
+        spec=spec,
+        permutation=perm,
+        scale=s,
+        warnings=tuple(warnings),
+        vectors=(("mass", np.ones(k), 1.0), *rows),
+        **fields,
     )
 
 
@@ -493,9 +463,9 @@ def _unsupported(spec: ReplacementSpec, k: int, reasons: list[str]) -> Structure
 
 
 _MATCHERS = {
-    2: (_match_two_irreducible, _match_two_triangular),
-    3: (_match_one_dominant, _match_two_dominant),
-    4: (_match_four_block,),
+    2: (_match_two_irreducible, functools.partial(_match_block, m=1)),
+    3: (functools.partial(_match_block, m=2), functools.partial(_match_block, m=1)),
+    4: (functools.partial(_match_block, m=2),),
 }
 
 

@@ -199,6 +199,11 @@ class EnsembleReport:
 def _row_labels(predictions, all_rows) -> list[str]:
     if predictions is None:
         return [r.label for r in all_rows]
+    if isinstance(predictions, str):
+        raise ValueError(
+            f"predictions must be None or a sequence of labels, not the string "
+            f"{predictions!r}"
+        )
     labels = []
     known = {r.label for r in all_rows}
     for label in predictions:

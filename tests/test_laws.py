@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_pi_n_product_and_log_paths_agree():
         lo = pi_n(a, 1000)
         hi = pi_n(a, 1001)
         assert hi == pytest.approx(lo * (1.0 + a / 1001), rel=1e-12)
+
+
+def test_pi_n_log_path_memory_stays_bounded():
+    # A whole-length log1p sum held about 229 MiB at n = 10**7; blocks of
+    # 2**20 terms hold two blocks at most.
+    n, a = 10**7, 0.5
+    tracemalloc.start()
+    try:
+        value = pi_n(a, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    exact = math.exp(math.lgamma(n + 1 + a) - math.lgamma(n + 1) - math.lgamma(1 + a))
+    assert value == pytest.approx(exact, rel=1e-6)
 
 
 def test_euler_ratio_approaches_one():

@@ -158,7 +158,7 @@ def test_classify_four_block_diag_vs_jordan():
         (TWO_DOM_JORDAN, [0.5, 0.25, 0.25]),
         (FOUR_DIAG, uniform(4)),
         (FOUR_JORDAN, uniform(4)),
-    ],
+    ] + [pytest.param(m, c, id=name) for name, (m, c, _, _) in BRANCHES.items()],
 )
 def test_classify_is_permutation_equivariant(matrix, initial):
     base = classify(new_spec(matrix, initial))
@@ -174,6 +174,10 @@ def test_classify_is_permutation_equivariant(matrix, initial):
         # sign is canonical only in canonical coordinates
         for label, vec, _ in base.vectors:
             moved = permuted.vector(label)
+            if label.startswith("share_"):
+                # identity shares name original colors, so they stay e_i
+                assert moved.tolist() == vec.tolist(), (label, perm)
+                continue
             err = min(
                 np.abs(moved - vec[p]).max(), np.abs(moved + vec[p]).max()
             )

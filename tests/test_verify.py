@@ -122,6 +122,20 @@ def test_run_ensemble_guards():
                      ensemble=100)
 
 
+def test_run_ensemble_refuses_a_string_of_predictions_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulated before refusing the selection")
+
+    monkeypatch.setattr(verify, "simulate_many", no_draws)
+    rows = predict(classify(TWO))
+    for bad in ("fluct", "all", ""):
+        with pytest.raises(
+            ValueError,
+            match=f"predictions must be None or a sequence of labels, not the string {bad!r}",
+        ):
+            run_ensemble(TWO, rows, predictions=bad, horizon=1000, ensemble=100)
+
+
 def test_run_ensemble_rejects_bad_checkpoint_grids():
     k = classify(TWO)
     for bad in ([], 5, [[0, 1000]]):
